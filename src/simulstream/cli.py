@@ -21,6 +21,7 @@ import json
 import logging
 import os
 import sys
+import time
 from typing import Optional, Sequence
 
 import jsonschema
@@ -29,6 +30,7 @@ from .corpus import (
     CorpusConfigError,
     SyntheticTaskSpec,
     generate_corpus,
+    quality_score,
     read_corpus,
     write_corpus,
 )
@@ -37,14 +39,13 @@ from .session import (
     ComputeModel,
     PolicySpec,
     SessionConfig,
+    SessionError,
     SessionResult,
     policy_from_spec,
     recompute_result_from_events,
     run_session,
 )
 from . import verification, wire
-
-log = logging.getLogger("simulstream")
 
 CONFIG_SCHEMA = {
     "type": "object",
@@ -262,8 +263,20 @@ def cmd_sweep(args) -> int:
     corpus = _read_corpus_or_die(args.corpus)
     config = build_config(args)
     try:
-        grid = [
+        grid = sorted(
             int(v) if args.family == "waitk" else float(v) for v in args.grid.split(",") if v
+        )
+        specs = [
+            PolicySpec("waitk", k=value, scorer=config.policy.scorer, seed=config.policy.seed)
+            if args.family == "waitk"
+            else PolicySpec(
+                "vmma",
+                lam=value,
+                scorer=config.policy.scorer,
+                scorer_value=config.policy.scorer_value,
+                seed=config.policy.seed,
+            )
+            for value in grid
         ]
     except ValueError as exc:
         raise CliError(f"bad grid: {exc}")
@@ -271,19 +284,7 @@ def cmd_sweep(args) -> int:
         raise CliError("grid is empty")
     rows = []
     failures = []
-    for value in sorted(grid):
-        if args.family == "waitk":
-            spec = PolicySpec(
-                "waitk", k=value, scorer=config.policy.scorer, seed=config.policy.seed
-            )
-        else:
-            spec = PolicySpec(
-                "vmma",
-                lam=value,
-                scorer=config.policy.scorer,
-                scorer_value=config.policy.scorer_value,
-                seed=config.policy.seed,
-            )
+    for value, spec in zip(grid, specs):
         policy = policy_from_spec(spec)
         try:
             results = [run_session(utt, config, policy) for utt in corpus]
@@ -315,22 +316,28 @@ def cmd_eval(args) -> int:
     if args.corpus:
         reference = {u.id: u for u in _read_corpus_or_die(args.corpus)}
     rows = []
-    with open(args.results, "r", encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            stored = SessionResult.from_json(line)
-            fresh = recompute_result_from_events(stored)
-            quality = fresh.quality
-            if reference:
-                utt = reference.get(fresh.utterance_id)
-                if utt is None:
-                    raise CliError(f"utterance {fresh.utterance_id} missing from corpus")
-                from .corpus import quality_score
-
-                quality = quality_score(fresh.hypothesis, utt.target_tokens)
-            rows.append(report_csv_row(fresh.utterance_id, fresh.report(), quality))
+    try:
+        with open(args.results, "r", encoding="utf-8") as f:
+            for lineno, line in enumerate(f, 1):
+                line = line.strip()
+                if not line:
+                    continue
+                where = f"{args.results} line {lineno}"
+                try:
+                    fresh = recompute_result_from_events(SessionResult.from_json(line))
+                except KeyError as exc:
+                    raise CliError(f"{where}: missing field {exc}")
+                except (TypeError, ValueError, SessionError) as exc:
+                    raise CliError(f"{where}: {exc}")
+                quality = fresh.quality
+                if reference:
+                    utt = reference.get(fresh.utterance_id)
+                    if utt is None:
+                        raise CliError(f"utterance {fresh.utterance_id} missing from corpus")
+                    quality = quality_score(fresh.hypothesis, utt.target_tokens)
+                rows.append(report_csv_row(fresh.utterance_id, fresh.report(), quality))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CliError(f"cannot read results {args.results}: {exc}")
     with open(args.out, "w", encoding="utf-8") as f:
         f.write(report_csv_header() + "\n")
         for row in rows:
@@ -362,8 +369,6 @@ def cmd_serve(args) -> int:
     print(f"serving {len(corpus)} utterances on {host}:{port}")
     try:
         while True:
-            import time
-
             time.sleep(0.5)
             if len(server.results) + len(server.failures) >= len(corpus) and args.once:
                 break

@@ -13,6 +13,19 @@ stub is called once every emission_rate_l buffered units (plus a final
 flush) and emits an audio span on the playback timeline. A token's
 delay is the clock reading of the call that produced its last unit.
 
+The event log is the record a session's per-token fields are derived
+from (see fold_events). Every event carries t_us (ideal clock) and
+wall_us (computation-aware clock); the six kinds and their payloads:
+
+* segment_arrived  {index}: source segment index (1-based) is available
+* read             {index}: the policy consumed segment index
+* write            {token, n_units, src_consumed}: the policy wrote token
+  (1-based) as n_units units after reading src_consumed segments
+* vocoder_call     {n_units}: the synthesis stub consumed n_units
+  buffered units, oldest first
+* emit_audio       {start_us, end_us}: the span that call plays back
+* finish           {}: end of the session
+
 All internal times are integer microseconds so long sessions cannot
 drift; reports are in milliseconds.
 """
@@ -175,7 +188,7 @@ class Event:
         return {"t_us": self.t_us, "wall_us": self.wall_us, "kind": self.kind, **self.payload}
 
 
-EVENT_KINDS = ("segment_arrived", "read", "write_unit", "vocoder_call", "emit_audio", "finish")
+EVENT_KINDS = ("segment_arrived", "read", "write", "vocoder_call", "emit_audio", "finish")
 
 
 def event_from_dict(d: dict) -> Event:
@@ -296,15 +309,9 @@ def run_session(utterance: Utterance, config: SessionConfig, policy: Policy) -> 
     r = w = 0
     events: list[Event] = []
     next_arrival = 1  # next segment index to log as arrived
-    buffer: list[tuple[int, int, bool]] = []  # (token 1-based, unit, is_last)
-    unit_counter = 0
-    token_call_ideal: list[Optional[int]] = [None] * N
-    token_call_ca: list[Optional[int]] = [None] * N
+    buffered = 0  # units written but not yet synthesized
+    audio_end = 0  # end of the last playback span
     hypothesis: list[int] = []
-    consumption: list[int] = []
-    spans: list[tuple[int, int]] = []  # playback (start_us, end_us)
-    last_read_event_index = -1
-    token_call_event_index: list[Optional[int]] = [None] * N
 
     def charge_decision() -> int:
         nonlocal last_perf
@@ -322,29 +329,14 @@ def run_session(utterance: Utterance, config: SessionConfig, policy: Policy) -> 
             events.append(Event(arr, arr, "segment_arrived", {"index": next_arrival}))
             next_arrival += 1
 
-    def vocoder_flush():
-        nonlocal t_ca, buffer
-        batch = buffer
-        buffer = []
-        t_ca += len(batch) * per_unit_us
-        call_index = len(events)
-        events.append(
-            Event(
-                t_ideal,
-                t_ca,
-                "vocoder_call",
-                {"n_units": len(batch), "tokens": sorted({tok for tok, _, _ in batch})},
-            )
-        )
-        for tok, _, is_last in batch:
-            if is_last:
-                token_call_ideal[tok - 1] = t_ideal
-                token_call_ca[tok - 1] = t_ca
-                token_call_event_index[tok - 1] = call_index
-        start = t_ca if not spans else max(t_ca, spans[-1][1])
-        end = start + len(batch) * unit_us
-        spans.append((start, end))
-        events.append(Event(t_ideal, t_ca, "emit_audio", {"start_us": start, "end_us": end}))
+    def vocoder_flush(n_units: int):
+        nonlocal t_ca, buffered, audio_end
+        buffered -= n_units
+        t_ca += n_units * per_unit_us
+        events.append(Event(t_ideal, t_ca, "vocoder_call", {"n_units": n_units}))
+        start = max(t_ca, audio_end)
+        audio_end = start + n_units * unit_us
+        events.append(Event(t_ideal, t_ca, "emit_audio", {"start_us": start, "end_us": audio_end}))
 
     for a in trace:
         if a is Action.READ:
@@ -353,42 +345,23 @@ def run_session(utterance: Utterance, config: SessionConfig, policy: Policy) -> 
             t_ideal = max(t_ideal, arr)
             t_ca = max(t_ca, arr) + charge_decision()
             flush_arrivals(t_ideal)
-            last_read_event_index = len(events)
             events.append(Event(t_ideal, t_ca, "read", {"index": r}))
         else:
             w += 1
             t_ca += charge_decision()
-            token = synthetic_hypothesis_token(utterance, w, r)
-            hypothesis.append(token)
-            consumption.append(r)
-            for u in range(upt):
-                is_last = u == upt - 1
-                buffer.append((w, u, is_last))
-                events.append(
-                    Event(
-                        t_ideal,
-                        t_ca,
-                        "write_unit",
-                        {"token": w, "unit": u, "unit_id": unit_counter, "src_consumed": r},
-                    )
-                )
-                unit_counter += 1
-                if len(buffer) == l:
-                    vocoder_flush()
-            if w == N and buffer:
-                vocoder_flush()  # nothing further can arrive; emit the tail
+            hypothesis.append(synthetic_hypothesis_token(utterance, w, r))
+            events.append(
+                Event(t_ideal, t_ca, "write", {"token": w, "n_units": upt, "src_consumed": r})
+            )
+            buffered += upt
+            while buffered >= l:
+                vocoder_flush(l)
+            if w == N and buffered:
+                vocoder_flush(buffered)  # nothing further can arrive; emit the tail
 
     flush_arrivals(M * seg_us)
     events.append(Event(max(t_ideal, M * seg_us), max(t_ca, M * seg_us), "finish", {}))
 
-    full_source_index = None
-    for i in range(N):
-        idx = token_call_event_index[i]
-        if idx is not None and idx > last_read_event_index:
-            full_source_index = i + 1
-            break
-
-    quality = quality_score(hypothesis, utterance.target_tokens)
     return SessionResult(
         utterance_id=utterance.id,
         source_len=M,
@@ -396,12 +369,48 @@ def run_session(utterance: Utterance, config: SessionConfig, policy: Policy) -> 
         source_duration_us=M * seg_us,
         events=tuple(events),
         hypothesis=tuple(hypothesis),
-        consumption=tuple(consumption),
-        ideal_delays_us=tuple(int(x) for x in token_call_ideal),
-        ca_delays_us=tuple(int(x) for x in token_call_ca),
-        full_source_index=full_source_index,
-        quality=quality,
+        quality=quality_score(hypothesis, utterance.target_tokens),
+        **fold_events(events),
     )
+
+
+def fold_events(events: Sequence[Event]) -> dict:
+    """Per-token fields of a SessionResult, derived from its event log.
+
+    Token i is produced by the first vocoder_call whose running unit
+    count reaches token i's last unit; its delays are that call's clock
+    readings. full_source_index is the first token produced after the
+    last read. Returns consumption, ideal_delays_us, ca_delays_us and
+    full_source_index as keyword arguments for SessionResult.
+    """
+    consumption: list[int] = []
+    token_ends: list[int] = []  # running unit count at each token's last unit
+    ideal: list[int] = []
+    ca: list[int] = []
+    written = voiced = 0
+    full_source_index = None
+    for e in events:
+        if e.kind == "read":
+            full_source_index = None
+        elif e.kind == "write":
+            consumption.append(e.payload["src_consumed"])
+            written += e.payload["n_units"]
+            token_ends.append(written)
+        elif e.kind == "vocoder_call":
+            voiced += e.payload["n_units"]
+            while len(ideal) < len(token_ends) and token_ends[len(ideal)] <= voiced:
+                if full_source_index is None:
+                    full_source_index = len(ideal) + 1
+                ideal.append(e.t_us)
+                ca.append(e.wall_us)
+    if len(ideal) < len(token_ends):
+        raise SessionError(f"event log leaves {len(token_ends) - len(ideal)} tokens unsynthesized")
+    return {
+        "consumption": tuple(consumption),
+        "ideal_delays_us": tuple(ideal),
+        "ca_delays_us": tuple(ca),
+        "full_source_index": full_source_index,
+    }
 
 
 def discontinuity_report(events: Sequence[Event]) -> tuple[float, int, float]:
@@ -425,45 +434,7 @@ def recompute_result_from_events(result: SessionResult) -> SessionResult:
     Used by the eval command to check stored numbers; ignores the stored
     delay fields entirely.
     """
-    events = result.events
-    last_unit_of_token: dict[int, int] = {}
-    consumed_at_token: dict[int, int] = {}
-    for e in events:
-        if e.kind == "write_unit":
-            tok = e.payload["token"]
-            last_unit_of_token[tok] = e.payload["unit_id"]
-            consumed_at_token[tok] = e.payload["src_consumed"]
-    n = len(last_unit_of_token)
-    ideal = [0] * n
-    ca = [0] * n
-    call_event_index = [None] * n
-    seen_units = 0
-    last_read_index = max(
-        (i for i, e in enumerate(events) if e.kind == "read"), default=-1
-    )
-    for idx, e in enumerate(events):
-        if e.kind != "vocoder_call":
-            continue
-        batch = e.payload["n_units"]
-        lo, hi = seen_units, seen_units + batch - 1
-        seen_units += batch
-        for tok, unit_id in last_unit_of_token.items():
-            if lo <= unit_id <= hi:
-                ideal[tok - 1] = e.t_us
-                ca[tok - 1] = e.wall_us
-                call_event_index[tok - 1] = idx
-    full_source_index = None
-    for i in range(n):
-        if call_event_index[i] is not None and call_event_index[i] > last_read_index:
-            full_source_index = i + 1
-            break
-    return replace(
-        result,
-        ideal_delays_us=tuple(ideal),
-        ca_delays_us=tuple(ca),
-        full_source_index=full_source_index,
-        consumption=tuple(consumed_at_token[i] for i in sorted(consumed_at_token)),
-    )
+    return replace(result, **fold_events(result.events))
 
 
 def run_corpus(

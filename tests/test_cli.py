@@ -123,6 +123,33 @@ def test_eval_reproduces_simulate_rows(tmp_path):
     assert rescored.read_text().splitlines() == eval_rows
 
 
+def test_eval_rejects_bad_results(tmp_path, capsys):
+    corpus = _gen(tmp_path, n=2)
+    results = tmp_path / "results.jsonl"
+    assert main(["simulate", "--corpus", str(corpus), "--out-results", str(results)]) == 0
+    good = results.read_text().splitlines()[0]
+    record = json.loads(good)
+    missing = {k: v for k, v in record.items() if k != "src_len"}
+    old_format = dict(record, events=[{"t_us": 0, "wall_us": 0, "kind": "write_unit"}])
+    cases = {
+        "nope.jsonl": (None, "cannot read results"),
+        "garbled.jsonl": ("{not json", "line 2"),
+        "missing.jsonl": (json.dumps(missing), "line 2: missing field 'src_len'"),
+        "old.jsonl": (json.dumps(old_format), "line 2: unknown event kind 'write_unit'"),
+    }
+    capsys.readouterr()
+    for name, (bad_line, message) in cases.items():
+        path = tmp_path / name
+        if bad_line is not None:
+            path.write_text(good + "\n" + bad_line + "\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--results", str(path), "--out", str(tmp_path / "eval.csv")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "Traceback" not in err
+        assert str(path) in err and message in err
+
+
 def test_sweep_sorts_grid_and_writes_rows(tmp_path):
     corpus = _gen(tmp_path)
     out = tmp_path / "sweep.csv"
@@ -138,9 +165,9 @@ def test_sweep_sorts_grid_and_writes_rows(tmp_path):
 def test_sweep_rejects_bad_grid(tmp_path):
     corpus = _gen(tmp_path)
     out = tmp_path / "s.csv"
-    for grid in ("", "a,b"):
+    for family, grid in (("waitk", ""), ("waitk", "a,b"), ("waitk", "0,2"), ("vmma", "-0.5")):
         with pytest.raises(SystemExit) as exc:
-            main(["sweep", "--corpus", str(corpus), "--family", "waitk", "--grid", grid, "--out", str(out)])
+            main(["sweep", "--corpus", str(corpus), "--family", family, "--grid", grid, "--out", str(out)])
         assert exc.value.code == 2
 
 

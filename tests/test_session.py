@@ -1,8 +1,10 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from simulstream.actions import Action, consumed_before_write, decode_trace
+from simulstream.actions import Action, consumed_before_write, decode_trace, trace_from_consumption
 from simulstream.corpus import SyntheticTaskSpec, Utterance, generate_corpus
 from simulstream.latency import average_lagging
 from simulstream.session import (
@@ -163,6 +165,67 @@ def test_event_log_replays_to_identical_metrics(rng):
         assert again.ca_delays_us == res.ca_delays_us
         assert again.full_source_index == res.full_source_index
         assert again.consumption == res.consumption
+
+
+def _per_unit_reference(trace, utt, cfg):
+    """Unit-by-unit replay of a schedule: a buffer of (token, is_last)
+    units, flushed when it holds emission_rate_l units and after the last
+    token. Returns consumption, both delay tuples and full_source_index."""
+    seg_us = round(utt.source_token_duration_ms * 1000)
+    dec_us = round(cfg.compute.per_decision_ms * 1000)
+    per_unit_us = round(cfg.compute.per_unit_ms * 1000)
+    upt, l, n = cfg.units_per_token, cfg.emission_rate_l, utt.target_len
+    last_read_step = max(i for i, a in enumerate(trace) if a is Action.READ)
+    t_ideal = t_ca = r = w = 0
+    buffer = []
+    consumption, ideal, ca, call_step = [], [None] * n, [None] * n, [None] * n
+    for step, a in enumerate(trace):
+        if a is Action.READ:
+            r += 1
+            t_ideal = max(t_ideal, r * seg_us)
+            t_ca = max(t_ca, r * seg_us) + dec_us
+            continue
+        w += 1
+        t_ca += dec_us
+        consumption.append(r)
+        for u in range(upt):
+            buffer.append((w, u == upt - 1))
+            if len(buffer) == l or (w == n and u == upt - 1):
+                t_ca += len(buffer) * per_unit_us
+                for token, is_last in buffer:
+                    if is_last:
+                        ideal[token - 1], ca[token - 1] = t_ideal, t_ca
+                        call_step[token - 1] = step
+                buffer = []
+    full = next((i + 1 for i in range(n) if call_step[i] > last_read_step), None)
+    return tuple(consumption), tuple(ideal), tuple(ca), full
+
+
+@st.composite
+def _schedules(draw):
+    m = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 8))
+    g = sorted(draw(st.lists(st.integers(1, m), min_size=n, max_size=n)))
+    upt = draw(st.integers(1, 6))
+    l = draw(st.integers(1, n * upt + 2))
+    return m, n, g, upt, l
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_schedules())
+def test_event_fold_matches_per_unit_reference(schedule):
+    m, n, g, upt, l = schedule
+    utt = _utt(m=m, n=n, seg=280.0, align=[min(i, m) for i in range(1, n + 1)])
+    cfg = _cfg(
+        units_per_token=upt,
+        emission_rate_l=l,
+        compute=ComputeModel(per_decision_ms=1.5, per_unit_ms=0.25),
+    )
+    trace = trace_from_consumption(g, m)
+    res = run_session(utt, cfg, ScriptedPolicy(tuple(trace)))
+    got = (res.consumption, res.ideal_delays_us, res.ca_delays_us, res.full_source_index)
+    assert got == _per_unit_reference(trace, utt, cfg)
+    assert recompute_result_from_events(SessionResult.from_json(res.to_json())) == res
 
 
 def test_result_json_round_trip():
