@@ -21,7 +21,7 @@ import json
 import logging
 import os
 import sys
-import time
+import threading
 from typing import Optional, Sequence
 
 import jsonschema
@@ -367,11 +367,10 @@ def cmd_serve(args) -> int:
     server = wire.serve(args.host, args.port, corpus, config, fast_forward=not args.pace)
     host, port = server.address[0], server.address[1]
     print(f"serving {len(corpus)} utterances on {host}:{port}")
+    # without --once, serve until interrupted
+    done = server.drained if args.once else threading.Event()
     try:
-        while True:
-            time.sleep(0.5)
-            if len(server.results) + len(server.failures) >= len(corpus) and args.once:
-                break
+        done.wait()
     except KeyboardInterrupt:
         pass
     finally:

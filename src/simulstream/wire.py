@@ -9,12 +9,23 @@ config; the client is the deciding agent. Flow:
     client -> WRITE     {token_index, token, src_consumed}
     client -> EOS_TGT   {}
     server -> METRICS   {al_ms, ca_al_ms, mean_delay_ms, discont_ms,
-                         n_tokens, quality}
+                         n_tokens, quality, remaining}
+    either -> ERROR     {reason}            (then the sender closes)
 
 Both ends stamp messages with per-direction sequence numbers and reject
 regressions. The server re-derives metrics by replaying the client's
 decision sequence through the same timing engine, so a correct client
-sees METRICS identical to its own in-process numbers.
+sees METRICS identical to its own in-process numbers. `remaining` counts
+the utterances no client has claimed yet; at 0 a client stops without
+another connection, so it never races a `serve --once` that has exited.
+
+A session fails when its client breaks the protocol, sends a schedule
+the engine rejects, stays silent for `READ_TIMEOUT_S` or sends a line
+longer than `MAX_FRAME_BYTES`. The server records `"<id>: <reason>"` in
+`failures`, sends ERROR on a best-effort basis and closes; the client's
+`recv` raises `ProtocolError("peer error: <reason>")`. Sockets run with
+TCP_NODELAY: a session is a chain of small request/reply messages, and
+Nagle's algorithm would hold each one back for the peer's delayed ACK.
 """
 
 from __future__ import annotations
@@ -40,7 +51,11 @@ from .session import (
     synthetic_hypothesis_token,
 )
 
-MESSAGE_TYPES = ("HELLO", "SEGMENT", "READ_REQ", "WRITE", "EOS_SRC", "EOS_TGT", "METRICS")
+MESSAGE_TYPES = (
+    "HELLO", "SEGMENT", "READ_REQ", "WRITE", "EOS_SRC", "EOS_TGT", "METRICS", "ERROR"
+)
+READ_TIMEOUT_S = 30.0  # server side: longest wait for a client's next message
+MAX_FRAME_BYTES = 1 << 20  # longest accepted line, newline excluded
 
 
 class ProtocolError(RuntimeError):
@@ -63,7 +78,9 @@ class _Channel:
     """Framed JSON messages with per-direction sequence checking."""
 
     def __init__(self, sock: socket.socket, session_id: str = ""):
-        self.rfile = sock.makefile("r", encoding="utf-8", newline="\n")
+        if sock.family in (socket.AF_INET, socket.AF_INET6):
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.rfile = sock.makefile("rb")
         self.wfile = sock.makefile("w", encoding="utf-8", newline="\n")
         self.session_id = session_id
         self._send_seq = 0
@@ -83,13 +100,17 @@ class _Channel:
         self.wfile.flush()
 
     def recv(self) -> tuple[str, dict]:
-        line = self.rfile.readline()
+        line = self.rfile.readline(MAX_FRAME_BYTES + 1)
         if not line:
             raise ProtocolError("connection closed")
+        if len(line) > MAX_FRAME_BYTES and not line.endswith(b"\n"):
+            raise ProtocolError("frame too long")
         try:
             record = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also invalid UTF-8
             raise ProtocolError(f"malformed message: {exc}") from exc
+        if not isinstance(record, dict):
+            raise ProtocolError("malformed message: not an object")
         msg_type = record.get("type")
         if msg_type not in MESSAGE_TYPES:
             raise ProtocolError(f"unknown message type {msg_type!r}")
@@ -97,7 +118,12 @@ class _Channel:
         if not isinstance(seq, int) or seq <= self._recv_seq:
             raise ProtocolError(f"sequence number regression: {seq} after {self._recv_seq}")
         self._recv_seq = seq
-        return msg_type, record.get("body", {})
+        body = record.get("body", {})
+        if not isinstance(body, dict):
+            raise ProtocolError("malformed message: body is not an object")
+        if msg_type == "ERROR":
+            raise ProtocolError(f"peer error: {body.get('reason', '')}")
+        return msg_type, body
 
     def close(self):
         try:
@@ -121,7 +147,10 @@ def _metrics_body(result: SessionResult) -> dict:
 
 
 class EvalServer:
-    """Serves one session per connection, in corpus order."""
+    """Serves one session per connection, in corpus order.
+
+    Every claimed utterance ends in `results` or `failures`; `drained` is
+    set once the last one has been settled and its connection closed."""
 
     def __init__(
         self,
@@ -136,7 +165,11 @@ class EvalServer:
         self.fast_forward = fast_forward
         self.results: dict[str, SessionResult] = {}
         self.failures: list[str] = []
+        self.drained = threading.Event()
+        if not corpus:
+            self.drained.set()
         self._next = 0
+        self._settled = 0
         self._lock = threading.Lock()
         outer = self
 
@@ -150,7 +183,10 @@ class EvalServer:
 
         self._server = Server((host, port), Handler)
         self.address = self._server.server_address
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        # shutdown() waits for the accept loop's next poll
+        self._thread = threading.Thread(
+            target=self._server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        )
 
     def start(self):
         self._thread.start()
@@ -168,10 +204,18 @@ class EvalServer:
             self._next += 1
             return utt
 
+    def _settle(self) -> None:
+        with self._lock:
+            self._settled += 1
+            if self._settled == len(self.corpus):
+                self.drained.set()
+
     def _handle(self, conn: socket.socket):
         utt = self._claim()
-        chan = _Channel(conn, session_id=utt.id if utt else "")
+        chan = None
         try:
+            conn.settimeout(READ_TIMEOUT_S)
+            chan = _Channel(conn, session_id=utt.id if utt else "")
             if utt is None:
                 chan.send("HELLO", {"done": True})
                 return
@@ -218,13 +262,29 @@ class EvalServer:
             result = run_session(utt, self.config, ScriptedPolicy(tuple(actions)))
             if list(result.hypothesis) != tokens:
                 raise ProtocolError("client tokens disagree with replay")
-            self.results[utt.id] = result
-            chan.send("METRICS", _metrics_body(result))
-        except (ProtocolError, OSError, KeyError, ValueError) as exc:
             with self._lock:
-                self.failures.append(f"{chan.session_id or '?'}: {exc}")
+                self.results[utt.id] = result
+                remaining = len(self.corpus) - self._next
+            chan.send("METRICS", {**_metrics_body(result), "remaining": remaining})
+        except Exception as exc:  # one bad session must not take the server down
+            if isinstance(exc, ProtocolError):
+                reason = str(exc)
+            elif isinstance(exc, TimeoutError):
+                reason = f"timed out after {READ_TIMEOUT_S:g} s"
+            else:
+                reason = f"{type(exc).__name__}: {exc}"
+            with self._lock:
+                self.failures.append(f"{utt.id if utt else '?'}: {reason}")
+            if chan is not None:
+                try:
+                    chan.send("ERROR", {"reason": reason})
+                except OSError:
+                    pass
         finally:
-            chan.close()
+            if chan is not None:
+                chan.close()
+            if utt is not None:
+                self._settle()
 
 
 def serve(
@@ -293,4 +353,6 @@ def connect(host: str, port: int, max_sessions: Optional[int] = None) -> list[Se
         if exchange is None:
             break
         out.append(exchange)
+        if exchange.server_metrics.get("remaining") == 0:
+            break
     return out

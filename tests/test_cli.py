@@ -1,11 +1,13 @@
 import json
 import socket
 import threading
+import time
 
 import pytest
 
 from simulstream.cli import main
 from simulstream.corpus import read_corpus
+from simulstream.wire import ProtocolError, _Channel
 
 
 def _gen(tmp_path, name="corpus.jsonl", n=8, seed=3, **kw):
@@ -264,3 +266,36 @@ def test_serve_and_connect_round_trip(tmp_path, capsys):
     assert "0 metric mismatches" in capsys.readouterr().out
     server.join(timeout=10)
     assert not server.is_alive()
+
+
+def test_serve_once_exits_after_invalid_schedule(tmp_path, capsys):
+    corpus = _gen(tmp_path, n=1)
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    rc = []
+    argv = ["serve", "--corpus", str(corpus), "--port", str(port), "--once"]
+    server = threading.Thread(target=lambda: rc.append(main(argv)), daemon=True)
+    server.start()
+    deadline = time.monotonic() + 5
+    while True:
+        try:
+            sock = socket.create_connection(("127.0.0.1", port), timeout=10)
+            break
+        except OSError:
+            assert time.monotonic() < deadline
+            time.sleep(0.05)
+    with sock:
+        chan = _Channel(sock)
+        chan.recv()
+        # WRITE before any READ: the server's replay rejects the schedule
+        chan.send("WRITE", {"token_index": 1, "token": 0, "src_consumed": 0})
+        chan.send("EOS_TGT", {})
+        with pytest.raises(ProtocolError, match="peer error"):
+            chan.recv()
+    server.join(timeout=5)
+    assert not server.is_alive()
+    assert rc == [1]
+    err = capsys.readouterr().err
+    assert len([ln for ln in err.splitlines() if ln.startswith("failed:")]) == 1
+    assert "Traceback" not in err

@@ -11,6 +11,7 @@ from simulstream.session import (
     policy_from_spec,
     run_session,
 )
+from simulstream import wire
 from simulstream.wire import (
     ProtocolError,
     _Channel,
@@ -203,3 +204,80 @@ def test_server_flags_token_mismatch():
         assert any("disagree" in f for f in srv.failures)
     finally:
         srv.shutdown()
+
+
+def _tcp_pair():
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        client = socket.create_connection(listener.getsockname())
+        server_side, _ = listener.accept()
+    return client, server_side
+
+
+@pytest.mark.parametrize("make_pair", [_tcp_pair, socket.socketpair], ids=["tcp", "unix"])
+def test_channel_round_trip_and_nodelay(make_pair):
+    a, b = make_pair()
+    try:
+        chan_a = _Channel(a)
+        chan_b = _Channel(b)
+        if a.family != socket.AF_UNIX:
+            for sock in (a, b):
+                assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) != 0
+        chan_a.send("WRITE", {"token": 7})
+        assert chan_b.recv() == ("WRITE", {"token": 7})
+    finally:
+        a.close()
+        b.close()
+
+
+def _invalid_schedule(chan, utt):
+    chan.send("WRITE", {"token_index": 1, "token": utt["target"][0], "src_consumed": 0})
+    chan.send("EOS_TGT", {})
+
+
+def _non_dict_body(chan, utt):
+    chan.send("READ_REQ", {})
+    chan.recv()
+    chan.send("WRITE", 5)
+
+
+def _silent(chan, utt):
+    pass
+
+
+def _oversized(chan, utt):
+    chan.wfile.write("x" * (wire.MAX_FRAME_BYTES + 1) + "\n")
+    chan.wfile.flush()
+
+
+@pytest.mark.parametrize(
+    "misbehave, reason",
+    [
+        (_invalid_schedule, "invalid schedule"),
+        (_non_dict_body, "body is not an object"),
+        (_silent, "timed out after 0.2 s"),
+        (_oversized, "frame too long"),
+    ],
+    ids=["invalid-schedule", "non-dict-body", "silent", "oversized"],
+)
+def test_bad_client_is_recorded_and_told(misbehave, reason, monkeypatch, capsys):
+    monkeypatch.setattr(wire, "READ_TIMEOUT_S", 0.2)
+    srv = serve("127.0.0.1", 0, _corpus(2), _config())
+    try:
+        # the client-side timeout turns a server that never answers into a failure
+        with socket.create_connection(srv.address, timeout=10) as sock:
+            chan = _Channel(sock)
+            _, hello = chan.recv()
+            misbehave(chan, hello["utterance"])
+            with pytest.raises(ProtocolError, match=f"peer error: .*{reason}"):
+                chan.recv()
+        uid = hello["utterance"]["id"]
+        assert len(srv.failures) == 1
+        assert srv.failures[0].startswith(f"{uid}: ") and reason in srv.failures[0]
+        # the other utterance is still served, and then the server is drained
+        exchanges = connect(*srv.address)
+        assert len(exchanges) == 1 and exchanges[0].max_field_gap() == 0.0
+        assert exchanges[0].server_metrics["remaining"] == 0
+        assert srv.drained.wait(5)
+    finally:
+        srv.shutdown()
+    assert "Traceback" not in capsys.readouterr().err
