@@ -12,9 +12,12 @@ previous row's stop. Two evaluations of the same recurrence ship here:
   drops below the guard the ratio stops telescoping and stale mass is
   re-added at every later position, so the row sums grow geometrically.
   Kept as the cautionary baseline; do not use downstream.
-* expected_alignment_stable: the division-free sequential recurrence
+* expected_alignment_stable: the division-free recurrence
   q_{i,j} = (1 - p_{i,j-1}) q_{i,j-1} + alpha_{i-1,j}; alpha = p * q.
-  Row-stochastic to 1e-9 at any practical size.
+  Row-stochastic to 1e-9 at any practical size. Evaluated by sweeping
+  the anti-diagonals i + j = s, one vector step each (N + M - 1 steps);
+  every cell does the same arithmetic in the same order as a row-by-row
+  scalar loop, so the output is bit-identical to it.
 """
 
 from __future__ import annotations
@@ -40,6 +43,9 @@ def validate_stepwise(p: np.ndarray) -> np.ndarray:
     p = np.asarray(p, dtype=np.float64)
     if p.ndim != 2 or p.size == 0:
         raise ShapeError(f"expected non-empty 2-d matrix, got shape {p.shape}")
+    if not np.all(np.isfinite(p)):
+        # NaN fails every comparison, so the range check below would pass it
+        raise ValueError("stepwise probabilities must be finite (got NaN or inf)")
     if np.any(p <= 0.0) or np.any(p > 1.0):
         raise ValueError("stepwise probabilities must lie in (0, 1]")
     if not np.all(p[:, -1] == 1.0):
@@ -81,23 +87,42 @@ def expected_alignment_div(p: np.ndarray) -> np.ndarray:
 
 
 def expected_alignment_stable(p: np.ndarray) -> np.ndarray:
-    """Division-free evaluation; rows sum to 1 within 1e-9."""
+    """Division-free evaluation; rows sum to 1 within 1e-9.
+
+    Swept by anti-diagonals: cell (i, j) needs q only from its left
+    neighbour and alpha only from the cell above, so the cells with
+    i + j = s are independent and each diagonal is one vector step. Every
+    cell still computes q = (1 - p[i, j-1]) * q + alpha[i-1, j], then
+    alpha = p * q, in that order, so the result equals the row-by-row
+    scalar loop bit for bit.
+
+    One (N+1) x M buffer holds the start state e_0 in row 0 and p below
+    it; in its flat layout a diagonal is a slice with step M - 1, and
+    each cell's p is read and then overwritten by its alpha. q and
+    1 - p of each row's newest cell are kept per row, so no other N x M
+    array is allocated.
+    """
     p = validate_stepwise(p)
     N, M = p.shape
-    alpha = np.zeros((N, M))
-    prev = np.zeros(M)
-    prev[0] = 1.0
-    for i in range(N):
-        row_p = p[i]
-        row_a = alpha[i]
-        # q carries mass not yet stopped: survivors from j-1 plus new arrivals
-        q = prev[0]
-        row_a[0] = row_p[0] * q
-        for j in range(1, M):
-            q = (1.0 - row_p[j - 1]) * q + prev[j]
-            row_a[j] = row_p[j] * q
-        prev = row_a
-    return alpha
+    buf = np.empty((N + 1, M))
+    buf[0] = 0.0
+    buf[0, 0] = 1.0
+    buf[1:] = p
+    flat = buf.ravel()
+    step = max(M - 1, 1)  # M == 1: every diagonal is a single cell
+    q = np.zeros(N)  # mass not yet stopped: survivors from j-1 plus arrivals
+    keep = np.zeros(N)  # 1 - p[i, j-1]; multiplies q = 0 at j = 0
+    for s in range(N + M - 1):
+        lo, hi = max(0, s - M + 1), min(N - 1, s)
+        start = (lo + 1) * M + s - lo
+        stop = start + (hi - lo) * step + 1
+        rows = slice(lo, hi + 1)
+        q[rows] *= keep[rows]
+        q[rows] += flat[start - M : stop - M : step]
+        cells = flat[start:stop:step]
+        np.subtract(1.0, cells, out=keep[rows])
+        np.multiply(cells, q[rows], out=cells)
+    return buf[1:]
 
 
 def enumerate_alignment_oracle(p: np.ndarray) -> np.ndarray:

@@ -22,8 +22,11 @@ another connection, so it never races a `serve --once` that has exited.
 A session fails when its client breaks the protocol, sends a schedule
 the engine rejects, stays silent for `READ_TIMEOUT_S` or sends a line
 longer than `MAX_FRAME_BYTES`. The server records `"<id>: <reason>"` in
-`failures`, sends ERROR on a best-effort basis and closes; the client's
-`recv` raises `ProtocolError("peer error: <reason>")`. Sockets run with
+`failures`, sends ERROR on a best-effort basis, half-closes and discards
+the client's input until it closes too (at most `LINGER_S` and
+`LINGER_MAX_BYTES`), so a client still sending reads the ERROR line
+rather than a connection reset; its `recv` raises
+`ProtocolError("peer error: <reason>")`. Sockets run with
 TCP_NODELAY: a session is a chain of small request/reply messages, and
 Nagle's algorithm would hold each one back for the peer's delayed ACK.
 """
@@ -56,6 +59,8 @@ MESSAGE_TYPES = (
 )
 READ_TIMEOUT_S = 30.0  # server side: longest wait for a client's next message
 MAX_FRAME_BYTES = 1 << 20  # longest accepted line, newline excluded
+LINGER_S = 2.0  # after ERROR: longest wait for the client to stop sending
+LINGER_MAX_BYTES = 64 * MAX_FRAME_BYTES  # after ERROR: most input discarded
 
 
 class ProtocolError(RuntimeError):
@@ -280,11 +285,36 @@ class EvalServer:
                     chan.send("ERROR", {"reason": reason})
                 except OSError:
                     pass
+                _linger(conn)
         finally:
             if chan is not None:
                 chan.close()
             if utt is not None:
                 self._settle()
+
+
+def _linger(conn: socket.socket) -> None:
+    """Half-close, then discard input until the client closes its end.
+
+    Closing a socket with unread input makes the kernel reset the
+    connection, and a client still sending (say, an oversized frame)
+    would get a broken pipe instead of the ERROR line already sent.
+    Bounded by LINGER_S and LINGER_MAX_BYTES."""
+    deadline = time.monotonic() + LINGER_S
+    discarded = 0
+    try:
+        conn.shutdown(socket.SHUT_WR)
+        while discarded < LINGER_MAX_BYTES:
+            left = deadline - time.monotonic()
+            if left <= 0:
+                return
+            conn.settimeout(left)
+            chunk = conn.recv(1 << 16)
+            if not chunk:
+                return
+            discarded += len(chunk)
+    except OSError:  # also the timeout
+        pass
 
 
 def serve(

@@ -1,7 +1,10 @@
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from simulstream.alignment import (
     ShapeError,
@@ -194,3 +197,72 @@ def test_milk_shape_error():
         milk_soft_attention(np.zeros((2, 3)), np.zeros((3, 2)))
     with pytest.raises(ValueError):
         milk_soft_attention(np.full((1, 2), 0.5), np.array([[np.inf, 0.0]]))
+
+
+def _row_loop_reference(p):
+    """The scalar row-by-row evaluation the anti-diagonal sweep replaced."""
+    N, M = p.shape
+    alpha = np.zeros((N, M))
+    prev = np.zeros(M)
+    prev[0] = 1.0
+    for i in range(N):
+        row_p = p[i]
+        row_a = alpha[i]
+        q = prev[0]
+        row_a[0] = row_p[0] * q
+        for j in range(1, M):
+            q = (1.0 - row_p[j - 1]) * q + prev[j]
+            row_a[j] = row_p[j] * q
+        prev = row_a
+    return alpha
+
+
+@st.composite
+def _stepwise_matrices(draw):
+    shape = draw(st.sampled_from(["square-ish", "one-row", "one-column"]))
+    n = 1 if shape == "one-row" else draw(st.integers(1, 40))
+    m = 1 if shape == "one-column" else draw(st.integers(1, 40))
+    # log-uniform over [10**floor, 1]: floors down to 1e-300 give tiny p
+    floor = draw(st.sampled_from([-300.0, -30.0, -8.0, -2.0, -0.5]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    p = 10.0 ** rng.uniform(floor, 0.0, size=(n, m))
+    ones = draw(st.lists(st.integers(0, m - 1), max_size=3))
+    p[:, ones] = 1.0  # interior columns where the head always stops
+    p[:, -1] = 1.0
+    return p
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_stepwise_matrices())
+@example(np.ones((1, 1)))
+@example(with_closed_last_column(np.full((1, 40), 1e-300)))
+@example(with_closed_last_column(np.full((40, 1), 0.5)))
+@example(with_closed_last_column(np.full((40, 40), 1e-300)))
+def test_stable_sweep_is_bit_identical_to_row_loop(p):
+    assert np.array_equal(expected_alignment_stable(p), _row_loop_reference(p))
+
+
+@pytest.mark.parametrize(
+    "n, digest",
+    [
+        (200, "39fabc46868e4ee17d43b13f61eb67729dd6e46ac4d68c2598d8e1b4a18f0caf"),
+        (800, "030293c505c4cb5eea86b00670e1ba37323d742124682c77895375ba02307584"),
+    ],
+)
+def test_stable_bytes_pinned_on_spiky_witness(n, digest):
+    # digests of the scalar row loop's output on the same inputs
+    a = expected_alignment_stable(spiky_low_probability_matrix(n, n, seed=32))
+    assert hashlib.sha256(a.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [[[np.nan, 1.0], [0.5, 1.0]], [[0.5, 1.0], [0.5, np.nan]], [[np.inf, 1.0]], [[-np.inf, 1.0]]],
+    ids=["interior-nan", "last-column-nan", "inf", "minus-inf"],
+)
+def test_validate_stepwise_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        validate_stepwise(np.array(bad))
+    with pytest.raises(ValueError, match="finite"):
+        expected_alignment_stable(np.array(bad))

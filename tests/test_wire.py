@@ -281,3 +281,22 @@ def test_bad_client_is_recorded_and_told(misbehave, reason, monkeypatch, capsys)
     finally:
         srv.shutdown()
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mib", [8, 32])
+def test_client_still_sending_reads_error_line(mib):
+    # far beyond the socket buffers: the server gives up mid-frame and must
+    # not reset the connection before the client has read the ERROR line
+    srv = serve("127.0.0.1", 0, _corpus(1), _config())
+    try:
+        with socket.create_connection(srv.address, timeout=10) as sock:
+            chan = _Channel(sock)
+            chan.recv()
+            chan.wfile.write("x" * (mib << 20) + "\n")
+            chan.wfile.flush()
+            with pytest.raises(ProtocolError, match="^peer error: frame too long$"):
+                chan.recv()
+        assert srv.drained.wait(5)
+        assert len(srv.failures) == 1 and srv.failures[0].endswith(": frame too long")
+    finally:
+        srv.shutdown()
