@@ -22,9 +22,8 @@ import logging
 import os
 import sys
 import threading
+from dataclasses import replace
 from typing import Optional, Sequence
-
-import jsonschema
 
 from .corpus import (
     CorpusConfigError,
@@ -36,64 +35,16 @@ from .corpus import (
 )
 from .latency import report_csv_header, report_csv_row
 from .session import (
-    ComputeModel,
-    PolicySpec,
     SessionConfig,
     SessionError,
     SessionResult,
+    config_fields,
+    config_from_dict,
     policy_from_spec,
     recompute_result_from_events,
     run_session,
 )
 from . import verification, wire
-
-CONFIG_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "pre_decision_ms": {"type": ["number", "null"], "exclusiveMinimum": 0},
-        "emission_rate_l": {"type": "integer", "minimum": 1},
-        "unit_ms": {"type": "number", "exclusiveMinimum": 0},
-        "units_per_token": {"type": "integer", "minimum": 1},
-        "compute": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "kind": {"enum": ["fixed_cost", "measured_wallclock"]},
-                "per_decision_ms": {"type": "number", "minimum": 0},
-                "per_unit_ms": {"type": "number", "minimum": 0},
-            },
-        },
-        "policy": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "kind": {"enum": ["waitk", "offline", "vmma"]},
-                "k": {"type": "integer", "minimum": 1},
-                "lam": {"type": "number", "exclusiveMinimum": 0},
-                "scorer": {"enum": ["oracle", "constant"]},
-                "scorer_value": {"type": "number"},
-                "seed": {"type": "integer"},
-            },
-        },
-    },
-}
-
-DEFAULTS = {
-    "pre_decision_ms": None,
-    "emission_rate_l": 1,
-    "unit_ms": 20.0,
-    "units_per_token": 5,
-    "compute": {"kind": "fixed_cost", "per_decision_ms": 0.0, "per_unit_ms": 0.0},
-    "policy": {
-        "kind": "waitk",
-        "k": 1,
-        "lam": 0.5,
-        "scorer": "oracle",
-        "scorer_value": 0.5,
-        "seed": 0,
-    },
-}
 
 
 class CliError(SystemExit):
@@ -113,83 +64,44 @@ def _load_config_file(path: Optional[str]) -> dict:
     except json.JSONDecodeError as exc:
         raise CliError(f"config {path} is not valid JSON: line {exc.lineno} col {exc.colno}")
     try:
-        jsonschema.validate(data, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        where = "$" + "".join(f"[{p!r}]" for p in exc.absolute_path)
-        raise CliError(f"config {path}: {exc.message} at {where}")
+        config_from_dict(data)  # so an error here is blamed on the file, not on a flag
+    except ValueError as exc:
+        raise CliError(f"config {path}: {exc}")
     return data
 
 
-def _merge(base: dict, override: dict) -> dict:
-    out = dict(base)
-    for key, value in override.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _merge(out[key], value)
-        elif value is not None:
-            out[key] = value
-    return out
-
-
-def _flag_overrides(args: argparse.Namespace) -> dict:
-    policy = {
-        "kind": args.policy,
-        "k": args.k,
-        "lam": args.lam,
-        "scorer": args.scorer,
-        "scorer_value": args.scorer_value,
-        "seed": args.policy_seed,
-    }
-    compute = {
-        "kind": args.compute,
-        "per_decision_ms": args.per_decision_ms,
-        "per_unit_ms": args.per_unit_ms,
-    }
-    return {
-        "pre_decision_ms": args.pre_decision_ms,
-        "emission_rate_l": args.emission_rate,
-        "unit_ms": args.unit_ms,
-        "units_per_token": args.units_per_token,
-        "compute": {k: v for k, v in compute.items() if v is not None},
-        "policy": {k: v for k, v in policy.items() if v is not None},
-    }
-
-
 def build_config(args: argparse.Namespace) -> SessionConfig:
-    merged = _merge(_merge(DEFAULTS, _load_config_file(args.config)), _flag_overrides(args))
+    """The --config file, overlaid with every config flag that was given."""
+    data = _load_config_file(args.config)
+    for dest, *_ in config_fields():
+        value = getattr(args, dest)
+        if value is not None:
+            *parents, name = dest.split(".")
+            node = data
+            for key in parents:
+                node = node.setdefault(key, {})
+            node[name] = value
     try:
-        return SessionConfig(
-            policy=PolicySpec(**merged["policy"]),
-            pre_decision_ms=merged["pre_decision_ms"],
-            emission_rate_l=merged["emission_rate_l"],
-            unit_ms=merged["unit_ms"],
-            units_per_token=merged["units_per_token"],
-            compute=ComputeModel(**merged["compute"]),
-        )
-    except (TypeError, ValueError) as exc:
-        raise CliError(str(exc))
+        return config_from_dict(data)
+    except ValueError as exc:
+        raise CliError(f"bad option: {exc}")
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file")
-    p.add_argument("--policy", choices=["waitk", "offline", "vmma"])
-    p.add_argument("--k", type=int, help="wait-k head start")
-    p.add_argument("--lam", type=float, help="change-rate parameter")
-    p.add_argument("--scorer", choices=["oracle", "constant"])
-    p.add_argument("--scorer-value", type=float, dest="scorer_value")
-    p.add_argument("--policy-seed", type=int, dest="policy_seed")
-    p.add_argument("--pre-decision-ms", type=float, dest="pre_decision_ms")
-    p.add_argument("--emission-rate", type=int, dest="emission_rate")
-    p.add_argument("--unit-ms", type=float, dest="unit_ms")
-    p.add_argument("--units-per-token", type=int, dest="units_per_token")
-    p.add_argument("--compute", choices=["fixed_cost", "measured_wallclock"])
-    p.add_argument("--per-decision-ms", type=float, dest="per_decision_ms")
-    p.add_argument("--per-unit-ms", type=float, dest="per_unit_ms")
+    for dest, f, tp, choices in config_fields():
+        flag, help = f.metadata["flag"], f.metadata["help"]
+        if choices:
+            p.add_argument(flag, dest=dest, choices=choices, help=help)
+        else:  # the metavar argparse would derive from the flag
+            metavar = flag[2:].replace("-", "_").upper()
+            p.add_argument(flag, dest=dest, type=tp, metavar=metavar, help=help)
 
 
 def _read_corpus_or_die(path: str):
     try:
         corpus = read_corpus(path)
-    except (OSError, CorpusConfigError, json.JSONDecodeError, KeyError) as exc:
+    except (OSError, ValueError) as exc:  # CorpusConfigError is a ValueError
         raise CliError(f"cannot load corpus {path}: {exc}")
     if not corpus:
         raise CliError(f"corpus {path} is empty")
@@ -231,10 +143,8 @@ def cmd_gen_corpus(args) -> int:
     return 0
 
 
-def cmd_simulate(args) -> int:
-    corpus = _read_corpus_or_die(args.corpus)
-    config = build_config(args)
-    policy = policy_from_spec(config.policy)
+def _run_corpus(corpus, config: SessionConfig, policy) -> tuple[list[SessionResult], list[str]]:
+    """Every utterance through one policy: (results, "<id>: <reason>" failures)."""
     results = []
     failures = []
     for utt in corpus:
@@ -242,6 +152,13 @@ def cmd_simulate(args) -> int:
             results.append(run_session(utt, config, policy))
         except Exception as exc:  # keep going; report at the end
             failures.append(f"{utt.id}: {exc}")
+    return results, failures
+
+
+def cmd_simulate(args) -> int:
+    corpus = _read_corpus_or_die(args.corpus)
+    config = build_config(args)
+    results, failures = _run_corpus(corpus, config, policy_from_spec(config.policy))
     if args.out_results:
         with open(args.out_results, "w", encoding="utf-8") as f:
             for r in results:
@@ -262,22 +179,10 @@ def cmd_simulate(args) -> int:
 def cmd_sweep(args) -> int:
     corpus = _read_corpus_or_die(args.corpus)
     config = build_config(args)
+    param, parse = ("k", int) if args.family == "waitk" else ("lam", float)
     try:
-        grid = sorted(
-            int(v) if args.family == "waitk" else float(v) for v in args.grid.split(",") if v
-        )
-        specs = [
-            PolicySpec("waitk", k=value, scorer=config.policy.scorer, seed=config.policy.seed)
-            if args.family == "waitk"
-            else PolicySpec(
-                "vmma",
-                lam=value,
-                scorer=config.policy.scorer,
-                scorer_value=config.policy.scorer_value,
-                seed=config.policy.seed,
-            )
-            for value in grid
-        ]
+        grid = sorted(parse(v) for v in args.grid.split(",") if v)
+        specs = [replace(config.policy, kind=args.family, **{param: value}) for value in grid]
     except ValueError as exc:
         raise CliError(f"bad grid: {exc}")
     if not grid:
@@ -285,30 +190,24 @@ def cmd_sweep(args) -> int:
     rows = []
     failures = []
     for value, spec in zip(grid, specs):
-        policy = policy_from_spec(spec)
-        try:
-            results = [run_session(utt, config, policy) for utt in corpus]
-        except Exception as exc:
-            failures.append(f"{args.family}={value}: {exc}")
-            continue
+        results, failed = _run_corpus(corpus, config, policy_from_spec(spec))
+        failures += [f"{args.family}={value}: {line}" for line in failed]
+        if failed:
+            continue  # a mean over part of the corpus would not compare with the other rows
         reports = [r.report() for r in results]
         n = len(results)
-        rows.append(
-            (
-                value,
-                sum(r.quality for r in results) / n,
-                sum(r.al_ms for r in reports) / n,
-                sum(r.ca_al_ms for r in reports) / n,
-            )
-        )
+        quality = sum(r.quality for r in results) / n
+        al = sum(r.al_ms for r in reports) / n
+        ca = sum(r.ca_al_ms for r in reports) / n
+        rows.append(f"{value},{quality:.3f},{al:.3f},{ca:.3f}")
     with open(args.out, "w", encoding="utf-8") as f:
         f.write("param,quality,al_ms,ca_al_ms\n")
-        for value, quality, al, ca in rows:
-            f.write(f"{value},{quality:.3f},{al:.3f},{ca:.3f}\n")
+        for row in rows:
+            f.write(row + "\n")
     for line in failures:
         print(f"failed: {line}", file=sys.stderr)
     print(f"swept {len(rows)} grid points into {args.out}")
-    return 0
+    return 1 if failures else 0
 
 
 def cmd_eval(args) -> int:
@@ -383,7 +282,10 @@ def cmd_serve(args) -> int:
 
 
 def cmd_connect(args) -> int:
-    exchanges = wire.connect(args.host, args.port, args.max_sessions)
+    try:
+        exchanges = wire.connect(args.host, args.port, args.max_sessions)
+    except (OSError, wire.ProtocolError) as exc:
+        raise CliError(f"connect {args.host}:{args.port}: {exc}")
     mismatched = [e for e in exchanges if e.max_field_gap() >= 1.0]
     if args.out:
         with open(args.out, "w", encoding="utf-8") as f:

@@ -33,6 +33,8 @@ class Utterance:
 
     def __post_init__(self):
         M = len(self.source_tokens)
+        if M == 0 or not self.target_tokens:
+            raise CorpusConfigError("source and target must be non-empty")
         if len(self.oracle_alignment) != len(self.target_tokens):
             raise CorpusConfigError("oracle_alignment length must match target length")
         prev = 1
@@ -42,8 +44,8 @@ class Utterance:
                     f"oracle_alignment must be non-decreasing and <= {M}, got {self.oracle_alignment}"
                 )
             prev = a
-        if self.source_token_duration_ms <= 0:
-            raise CorpusConfigError("source_token_duration_ms must be positive")
+        if not 0 < self.source_token_duration_ms < math.inf:
+            raise CorpusConfigError("source_token_duration_ms must be positive and finite")
 
     @property
     def source_len(self) -> int:
@@ -73,6 +75,8 @@ class Utterance:
     @classmethod
     def from_json(cls, line: str) -> "Utterance":
         d = json.loads(line)
+        if not isinstance(d, dict):
+            raise CorpusConfigError("utterance is not a JSON object")
         return cls(
             id=d["id"],
             source_tokens=tuple(int(t) for t in d["source"]),
@@ -165,12 +169,20 @@ def write_corpus(utterances: Iterable[Utterance], path) -> None:
 
 
 def read_corpus(path) -> list[Utterance]:
+    """Utterances of a JSON-lines file; a malformed line raises
+    CorpusConfigError("line N: ..."), N counted from 1."""
     out = []
     with open(path, "r", encoding="utf-8") as f:
-        for line in f:
+        for lineno, line in enumerate(f, 1):
             line = line.strip()
-            if line:
+            if not line:
+                continue
+            try:
                 out.append(Utterance.from_json(line))
+            except KeyError as exc:
+                raise CorpusConfigError(f"line {lineno}: missing field {exc}") from None
+            except (TypeError, ValueError) as exc:  # also a line that is not JSON
+                raise CorpusConfigError(f"line {lineno}: {exc}") from None
     return out
 
 

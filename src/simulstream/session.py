@@ -32,10 +32,12 @@ drift; reports are in milliseconds.
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 import zlib
-from dataclasses import dataclass, field, replace
-from typing import Optional, Protocol, Sequence
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from typing import Literal, Optional, Protocol, Sequence, Union, get_args, get_origin, get_type_hints
 
 from .actions import Action, validate_trace, wait_k_trace
 from .corpus import Utterance, quality_score
@@ -45,45 +47,90 @@ from .vmma import ConstantScorer, OracleScorer, change_to_actions, sample_change
 GUESS_BASE = 1 << 20  # synthetic wrong guesses live far outside any vocab
 GUESS_SPACE = 1009
 
-FIXED_COST = "fixed_cost"
-MEASURED = "measured_wallclock"
-
 
 class SessionError(RuntimeError):
     pass
 
 
+PolicyKind = Literal["waitk", "offline", "vmma"]
+ScorerKind = Literal["oracle", "constant"]
+ComputeKind = Literal["fixed_cost", "measured_wallclock"]
+
+
+def _flag(default, flag: str, help: Optional[str] = None):
+    """A setting: its default and the command-line flag that sets it."""
+    return field(default=default, metadata={"flag": flag, "help": help})
+
+
+@functools.cache
+def _rules(cls) -> dict[str, tuple[object, tuple, bool]]:
+    """Per field of cls: (type, Literal values or (), nullable), where
+    Optional[X], the only union a setting has, gives X and nullable."""
+    rules = {}
+    for name, tp in get_type_hints(cls).items():
+        nullable = get_origin(tp) is Union
+        base = get_args(tp)[0] if nullable else tp
+        rules[name] = (base, get_args(base) if get_origin(base) is Literal else (), nullable)
+    return rules
+
+
+def _checked(rule, value, where: str):
+    """value, if it obeys its field's rule; a ValueError naming where if not.
+
+    An int setting takes an int, a float setting a finite int or float
+    (never a bool), a Literal one of its values, an Optional also None;
+    a nested dataclass is built from a dict by _from_dict."""
+    tp, choices, nullable = rule
+    if is_dataclass(tp):
+        return _from_dict(tp, value, where)
+    if value is None and nullable:
+        return value
+    if choices:
+        ok, want = value in choices, f"one of {list(choices)}"
+    elif tp is int:
+        ok, want = isinstance(value, int) and not isinstance(value, bool), "an integer"
+    else:  # float, the only other type a setting has
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        ok = number and (isinstance(value, int) or math.isfinite(value))
+        want = "a finite number"
+    if not ok:
+        raise ValueError(f"{value!r} is not {want} at {where}")
+    return value
+
+
+def _check_fields(obj) -> None:
+    for name, rule in _rules(type(obj)).items():
+        if not is_dataclass(rule[0]):
+            _checked(rule, getattr(obj, name), f"{type(obj).__name__}.{name}")
+
+
 @dataclass(frozen=True)
 class ComputeModel:
-    kind: str = FIXED_COST
-    per_decision_ms: float = 0.0
-    per_unit_ms: float = 0.0
+    kind: ComputeKind = _flag("fixed_cost", "--compute")
+    per_decision_ms: float = _flag(0.0, "--per-decision-ms")
+    per_unit_ms: float = _flag(0.0, "--per-unit-ms")
 
     def __post_init__(self):
-        if self.kind not in (FIXED_COST, MEASURED):
-            raise ValueError(f"unknown compute model {self.kind!r}")
+        _check_fields(self)
         if self.per_decision_ms < 0 or self.per_unit_ms < 0:
             raise ValueError("compute costs must be non-negative")
 
 
 @dataclass(frozen=True)
 class PolicySpec:
-    kind: str  # waitk | offline | vmma
-    k: int = 1
-    lam: float = 0.5
-    scorer: str = "oracle"  # oracle | constant
-    scorer_value: float = 0.5
-    seed: int = 0
+    kind: PolicyKind = _flag("waitk", "--policy")
+    k: int = _flag(1, "--k", "wait-k head start")
+    lam: float = _flag(0.5, "--lam", "change-rate parameter")
+    scorer: ScorerKind = _flag("oracle", "--scorer")
+    scorer_value: float = _flag(0.5, "--scorer-value")
+    seed: int = _flag(0, "--policy-seed")
 
     def __post_init__(self):
-        if self.kind not in ("waitk", "offline", "vmma"):
-            raise ValueError(f"unknown policy kind {self.kind!r}")
-        if self.kind == "waitk" and self.k < 1:
+        _check_fields(self)
+        if self.k < 1:
             raise ValueError("k must be >= 1")
-        if self.kind == "vmma" and self.lam <= 0:
+        if self.lam <= 0:
             raise ValueError("lam must be positive")
-        if self.scorer not in ("oracle", "constant"):
-            raise ValueError(f"unknown scorer {self.scorer!r}")
 
     def label(self) -> str:
         if self.kind == "waitk":
@@ -95,14 +142,19 @@ class PolicySpec:
 
 @dataclass(frozen=True)
 class SessionConfig:
-    policy: PolicySpec
-    pre_decision_ms: Optional[float] = None  # None: use the utterance's own
-    emission_rate_l: int = 1
-    unit_ms: float = 20.0
-    units_per_token: int = 5
+    """A run's settings. These fields and those of PolicySpec and
+    ComputeModel state each setting's type, default, allowed values and
+    flag; config_from_dict, config_fields and the CLI read them here."""
+
+    policy: PolicySpec = field(default_factory=PolicySpec)
+    pre_decision_ms: Optional[float] = _flag(None, "--pre-decision-ms")  # None: the utterance's own
+    emission_rate_l: int = _flag(1, "--emission-rate")
+    unit_ms: float = _flag(20.0, "--unit-ms")
+    units_per_token: int = _flag(5, "--units-per-token")
     compute: ComputeModel = field(default_factory=ComputeModel)
 
     def __post_init__(self):
+        _check_fields(self)
         if self.emission_rate_l < 1:
             raise ValueError("emission_rate_l must be >= 1")
         if self.units_per_token < 1:
@@ -111,6 +163,45 @@ class SessionConfig:
             raise ValueError("unit_ms must be positive")
         if self.pre_decision_ms is not None and self.pre_decision_ms <= 0:
             raise ValueError("pre_decision_ms must be positive")
+
+
+def config_fields(cls=SessionConfig, prefix: str = ""):
+    """Yield (dotted path, field, type, Literal values or ()) for every
+    leaf setting of cls, in declaration order; nested dataclasses are
+    flattened and Optional[X] gives X."""
+    for f in fields(cls):
+        tp, choices, _ = _rules(cls)[f.name]
+        if is_dataclass(tp):
+            yield from config_fields(tp, f"{prefix}{f.name}.")
+        else:
+            yield prefix + f.name, f, tp, choices
+
+
+def config_to_dict(config: SessionConfig) -> dict:
+    return asdict(config)
+
+
+def config_from_dict(d: dict) -> SessionConfig:
+    """Build a SessionConfig from plain data, such as a parsed JSON file.
+
+    A missing key takes the field's default. An unknown key or a value of
+    the wrong type (see _checked) raises ValueError naming its location,
+    as in $['policy']['kind']; a value out of range, its object's."""
+    return _from_dict(SessionConfig, d, "$")
+
+
+def _from_dict(cls, d, where: str):
+    if not isinstance(d, dict):
+        raise ValueError(f"{d!r} is not an object at {where}")
+    rules = _rules(cls)  # one per field
+    for key in d:
+        if key not in rules:
+            raise ValueError(f"unknown key {key!r} at {where}")
+    kwargs = {key: _checked(rules[key], value, f"{where}[{key!r}]") for key, value in d.items()}
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{exc} at {where}") from None
 
 
 class Policy(Protocol):
@@ -298,7 +389,7 @@ def run_session(utterance: Utterance, config: SessionConfig, policy: Policy) -> 
     l = config.emission_rate_l
     dec_us = _us(config.compute.per_decision_ms)
     per_unit_us = _us(config.compute.per_unit_ms)
-    measured = config.compute.kind == MEASURED
+    measured = config.compute.kind == "measured_wallclock"
     if measured:
         import time
 

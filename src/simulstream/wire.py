@@ -26,7 +26,9 @@ longer than `MAX_FRAME_BYTES`. The server records `"<id>: <reason>"` in
 the client's input until it closes too (at most `LINGER_S` and
 `LINGER_MAX_BYTES`), so a client still sending reads the ERROR line
 rather than a connection reset; its `recv` raises
-`ProtocolError("peer error: <reason>")`. Sockets run with
+`ProtocolError("peer error: <reason>")`. A client that gets a HELLO
+whose config fails `config_from_dict` raises `ProtocolError("bad HELLO
+config: ...")`. Sockets run with
 TCP_NODELAY: a session is a chain of small request/reply messages, and
 Nagle's algorithm would hold each one back for the peer's delayed ACK.
 """
@@ -38,17 +40,17 @@ import socket
 import socketserver
 import threading
 import time
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from typing import Optional
 
 from .corpus import Utterance
 from .actions import Action
 from .session import (
-    ComputeModel,
-    PolicySpec,
     ScriptedPolicy,
     SessionConfig,
     SessionResult,
+    config_from_dict,
+    config_to_dict,
     policy_from_spec,
     run_session,
     synthetic_hypothesis_token,
@@ -65,18 +67,6 @@ LINGER_MAX_BYTES = 64 * MAX_FRAME_BYTES  # after ERROR: most input discarded
 
 class ProtocolError(RuntimeError):
     pass
-
-
-def config_to_dict(config: SessionConfig) -> dict:
-    d = asdict(config)
-    return d
-
-
-def config_from_dict(d: dict) -> SessionConfig:
-    policy = PolicySpec(**d["policy"])
-    compute = ComputeModel(**d["compute"])
-    rest = {k: v for k, v in d.items() if k not in ("policy", "compute")}
-    return SessionConfig(policy=policy, compute=compute, **rest)
 
 
 class _Channel:
@@ -346,7 +336,10 @@ def run_client_session(host: str, port: int) -> Optional[SessionExchange]:
         if body.get("done"):
             return None
         utt = Utterance.from_json(json.dumps(body["utterance"]))
-        config = config_from_dict(body["config"])
+        try:
+            config = config_from_dict(body.get("config"))
+        except ValueError as exc:
+            raise ProtocolError(f"bad HELLO config: {exc}") from None
         chan.session_id = utt.id
         policy = policy_from_spec(config.policy)
         plan = policy.plan(utt)

@@ -254,10 +254,11 @@ def test_serve_and_connect_round_trip(tmp_path, capsys):
     deadline = time.monotonic() + 5
     while time.monotonic() < deadline:
         try:
-            # refusal happens before any session is claimed, so retrying is safe
             rc = main(["connect", "--port", str(port), "--out", str(out_csv)])
             break
-        except OSError:
+        except SystemExit:
+            # refusal happens before any session is claimed, so retrying is safe
+            assert "Connection refused" in capsys.readouterr().err
             time.sleep(0.05)
     assert rc == 0
     lines = out_csv.read_text().splitlines()
@@ -299,3 +300,135 @@ def test_serve_once_exits_after_invalid_schedule(tmp_path, capsys):
     err = capsys.readouterr().err
     assert len([ln for ln in err.splitlines() if ln.startswith("failed:")]) == 1
     assert "Traceback" not in err
+
+
+def _one_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    return err
+
+
+@pytest.mark.parametrize(
+    "flags, config",
+    [
+        (["--policy", "vmma", "--lam", "nan"], None),
+        (["--unit-ms", "nan"], None),
+        (["--per-decision-ms", "inf"], None),
+        (["--per-unit-ms", "nan"], None),
+        (["--pre-decision-ms", "inf"], None),
+        ([], '{"unit_ms": NaN}'),
+    ],
+    ids=["lam", "unit-ms", "per-decision-ms", "per-unit-ms", "pre-decision-ms", "file"],
+)
+def test_non_finite_config_is_rejected(tmp_path, capsys, flags, config):
+    corpus = _gen(tmp_path, n=3)
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(config)
+        flags = flags + ["--config", str(tmp_path / "cfg.json")]
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--corpus", str(corpus), "--out-csv", str(out), *flags])
+    assert exc.value.code == 2
+    assert "is not a finite number" in _one_error_line(capsys)
+    assert not out.exists()
+
+
+_GOOD_UTT = {
+    "id": "u", "source": [1, 2], "target": [1, 2], "oracle_alignment": [1, 2], "src_tok_ms": 100.0
+}
+_NOT_EMPTY = "line 3: source and target must be non-empty"
+
+
+@pytest.mark.parametrize("command", ["simulate", "serve"])
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (dict(_GOOD_UTT, source=5), "line 3: "),
+        ([1, 2], "line 3: utterance is not a JSON object"),
+        (dict(_GOOD_UTT, source=["a"]), "line 3: invalid literal"),
+        (dict(_GOOD_UTT, src_tok_ms=None), "line 3: "),
+        (dict(_GOOD_UTT, source=[], oracle_alignment=[]), _NOT_EMPTY),
+        (dict(_GOOD_UTT, target=[], oracle_alignment=[]), _NOT_EMPTY),
+        (dict(_GOOD_UTT, src_tok_ms=float("nan")), "line 3: source_token_duration_ms"),
+    ],
+    ids=[
+        "source-int", "array", "source-str", "duration-null", "no-source", "no-target", "duration-nan"
+    ],
+)
+def test_malformed_corpus_line_is_one_error(tmp_path, capsys, command, bad, message):
+    path = tmp_path / "corpus.jsonl"
+    # line 2 is blank, so the bad record is on line 3
+    path.write_text(json.dumps(_GOOD_UTT) + "\n\n" + json.dumps(bad) + "\n")
+    argv = [command, "--corpus", str(path)]
+    if command == "serve":
+        argv += ["--port", "0", "--once"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = _one_error_line(capsys)
+    assert str(path) in err and message in err
+
+
+def _fake_server(reply):
+    """A listening socket whose first client gets reply(channel); returns its port."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def run():
+        with listener:
+            conn, _ = listener.accept()
+            with conn:
+                chan = _Channel(conn)
+                reply(chan)
+                chan.close()
+
+    threading.Thread(target=run, daemon=True).start()
+    return listener.getsockname()[1]
+
+
+def test_connect_errors_are_one_line(tmp_path, capsys):
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        closed_port = probe.getsockname()[1]
+    utterance = json.loads(read_corpus(str(_gen(tmp_path, n=1)))[0].to_json())
+    bad_hello = {"done": False, "utterance": utterance, "config": {"policy": {"kind": "psychic"}}}
+    cases = {
+        "refused": (closed_port, "Connection refused"),
+        "peer-error": (
+            _fake_server(lambda chan: chan.send("ERROR", {"reason": "no work for you"})),
+            "peer error: no work for you",
+        ),
+        "bad-hello": (
+            _fake_server(lambda chan: chan.send("HELLO", bad_hello)),
+            "bad HELLO config: 'psychic' is not one of ['waitk', 'offline', 'vmma']"
+            " at $['policy']['kind']",
+        ),
+    }
+    for name, (port, message) in cases.items():
+        with pytest.raises(SystemExit) as exc:
+            main(["connect", "--port", str(port)])
+        assert exc.value.code == 2, name
+        err = _one_error_line(capsys)
+        assert f"127.0.0.1:{port}" in err and message in err, name
+
+
+def test_sweep_exits_1_when_a_grid_point_fails(tmp_path, capsys, monkeypatch):
+    from simulstream import cli
+
+    corpus = _gen(tmp_path, n=3)
+    victim = read_corpus(str(corpus))[1].id
+    real = cli.run_session
+
+    def run_session(utt, config, policy):
+        if utt.id == victim and policy.k == 3:
+            raise RuntimeError("boom")
+        return real(utt, config, policy)
+
+    monkeypatch.setattr(cli, "run_session", run_session)
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--corpus", str(corpus), "--family", "waitk", "--grid", "1,3,5", "--out", str(out)]
+    rc = main(argv)
+    assert rc == 1
+    assert [row.split(",")[0] for row in out.read_text().splitlines()[1:]] == ["1", "5"]
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"failed: waitk=3: {victim}: boom"]
+    assert "swept 2 grid points" in captured.out

@@ -46,9 +46,11 @@ def server():
 
 
 def test_config_dict_round_trip():
-    cfg = _config("vmma")
-    back = config_from_dict(config_to_dict(cfg))
-    assert back == cfg
+    for kind in ("waitk", "offline", "vmma"):
+        cfg = _config(kind, pre_decision_ms=40.0)
+        assert config_from_dict(config_to_dict(cfg)) == cfg
+        # as the HELLO message carries it
+        assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
 
 
 def test_loopback_metrics_match_in_process(server):
