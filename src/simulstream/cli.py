@@ -224,6 +224,7 @@ def cmd_eval(args) -> int:
                 where = f"{args.results} line {lineno}"
                 try:
                     fresh = recompute_result_from_events(SessionResult.from_json(line))
+                    report = fresh.report()
                 except KeyError as exc:
                     raise CliError(f"{where}: missing field {exc}")
                 except (TypeError, ValueError, SessionError) as exc:
@@ -234,7 +235,7 @@ def cmd_eval(args) -> int:
                     if utt is None:
                         raise CliError(f"utterance {fresh.utterance_id} missing from corpus")
                     quality = quality_score(fresh.hypothesis, utt.target_tokens)
-                rows.append(report_csv_row(fresh.utterance_id, fresh.report(), quality))
+                rows.append(report_csv_row(fresh.utterance_id, report, quality))
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read results {args.results}: {exc}")
     with open(args.out, "w", encoding="utf-8") as f:

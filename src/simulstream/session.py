@@ -15,16 +15,17 @@ delay is the clock reading of the call that produced its last unit.
 
 The event log is the record a session's per-token fields are derived
 from (see fold_events). Every event carries t_us (ideal clock) and
-wall_us (computation-aware clock); the six kinds and their payloads:
+wall_us (computation-aware clock); the three kinds and their payloads:
 
-* segment_arrived  {index}: source segment index (1-based) is available
-* read             {index}: the policy consumed segment index
-* write            {token, n_units, src_consumed}: the policy wrote token
+* read          {index}: the policy consumed source segment index (1-based)
+* write         {token, n_units, src_consumed}: the policy wrote token
   (1-based) as n_units units after reading src_consumed segments
-* vocoder_call     {n_units}: the synthesis stub consumed n_units
-  buffered units, oldest first
-* emit_audio       {start_us, end_us}: the span that call plays back
-* finish           {}: end of the session
+* vocoder_call  {n_units, start_us, end_us}: the synthesis stub consumed
+  n_units buffered units, oldest first, and plays them back over
+  [start_us, end_us)
+
+Segment arrivals and the end of the session are not logged: segment i
+arrives at i * source_duration_us / src_len, and the result stores both.
 
 All internal times are integer microseconds so long sessions cannot
 drift; reports are in milliseconds.
@@ -131,6 +132,8 @@ class PolicySpec:
             raise ValueError("k must be >= 1")
         if self.lam <= 0:
             raise ValueError("lam must be positive")
+        if not 0 < self.scorer_value < 1:
+            raise ValueError("scorer_value must be strictly inside (0, 1)")
 
     def label(self) -> str:
         if self.kind == "waitk":
@@ -279,7 +282,7 @@ class Event:
         return {"t_us": self.t_us, "wall_us": self.wall_us, "kind": self.kind, **self.payload}
 
 
-EVENT_KINDS = ("segment_arrived", "read", "write", "vocoder_call", "emit_audio", "finish")
+EVENT_KINDS = ("read", "write", "vocoder_call")
 
 
 def event_from_dict(d: dict) -> Event:
@@ -399,7 +402,6 @@ def run_session(utterance: Utterance, config: SessionConfig, policy: Policy) -> 
     t_ca = 0
     r = w = 0
     events: list[Event] = []
-    next_arrival = 1  # next segment index to log as arrived
     buffered = 0  # units written but not yet synthesized
     audio_end = 0  # end of the last playback span
     hypothesis: list[int] = []
@@ -413,21 +415,14 @@ def run_session(utterance: Utterance, config: SessionConfig, policy: Policy) -> 
             return delta
         return dec_us
 
-    def flush_arrivals(up_to_us: int):
-        nonlocal next_arrival
-        while next_arrival <= M and next_arrival * seg_us <= up_to_us:
-            arr = next_arrival * seg_us
-            events.append(Event(arr, arr, "segment_arrived", {"index": next_arrival}))
-            next_arrival += 1
-
     def vocoder_flush(n_units: int):
         nonlocal t_ca, buffered, audio_end
         buffered -= n_units
         t_ca += n_units * per_unit_us
-        events.append(Event(t_ideal, t_ca, "vocoder_call", {"n_units": n_units}))
         start = max(t_ca, audio_end)
         audio_end = start + n_units * unit_us
-        events.append(Event(t_ideal, t_ca, "emit_audio", {"start_us": start, "end_us": audio_end}))
+        payload = {"n_units": n_units, "start_us": start, "end_us": audio_end}
+        events.append(Event(t_ideal, t_ca, "vocoder_call", payload))
 
     for a in trace:
         if a is Action.READ:
@@ -435,7 +430,6 @@ def run_session(utterance: Utterance, config: SessionConfig, policy: Policy) -> 
             arr = r * seg_us
             t_ideal = max(t_ideal, arr)
             t_ca = max(t_ca, arr) + charge_decision()
-            flush_arrivals(t_ideal)
             events.append(Event(t_ideal, t_ca, "read", {"index": r}))
         else:
             w += 1
@@ -449,9 +443,6 @@ def run_session(utterance: Utterance, config: SessionConfig, policy: Policy) -> 
                 vocoder_flush(l)
             if w == N and buffered:
                 vocoder_flush(buffered)  # nothing further can arrive; emit the tail
-
-    flush_arrivals(M * seg_us)
-    events.append(Event(max(t_ideal, M * seg_us), max(t_ca, M * seg_us), "finish", {}))
 
     return SessionResult(
         utterance_id=utterance.id,
@@ -506,7 +497,8 @@ def fold_events(events: Sequence[Event]) -> dict:
 
 def discontinuity_report(events: Sequence[Event]) -> tuple[float, int, float]:
     """(total_gap_ms, gap_count, max_gap_ms) between emitted audio spans."""
-    spans = [(e.payload["start_us"], e.payload["end_us"]) for e in events if e.kind == "emit_audio"]
+    calls = [e.payload for e in events if e.kind == "vocoder_call"]
+    spans = [(c["start_us"], c["end_us"]) for c in calls]
     total = 0
     count = 0
     biggest = 0

@@ -206,7 +206,7 @@ def check_conservation(seed: int = 23) -> CheckResult:
                 compute=ComputeModel(per_decision_ms=1.0, per_unit_ms=0.1),
             )
             result = run_session(utt, config, WaitKPolicy(2))
-            spans = [e.payload for e in result.events if e.kind == "emit_audio"]
+            spans = [e.payload for e in result.events if e.kind == "vocoder_call"]
             totals.append(sum(s["end_us"] - s["start_us"] for s in spans))
         want = n_units * 20000
         if any(t != want for t in totals):

@@ -27,8 +27,9 @@ the client's input until it closes too (at most `LINGER_S` and
 `LINGER_MAX_BYTES`), so a client still sending reads the ERROR line
 rather than a connection reset; its `recv` raises
 `ProtocolError("peer error: <reason>")`. A client that gets a HELLO
-whose config fails `config_from_dict` raises `ProtocolError("bad HELLO
-config: ...")`. Sockets run with
+whose utterance does not parse raises `ProtocolError("bad HELLO
+utterance: ...")`, and one whose config fails `config_from_dict`
+`ProtocolError("bad HELLO config: ...")`. Sockets run with
 TCP_NODELAY: a session is a chain of small request/reply messages, and
 Nagle's algorithm would hold each one back for the peer's delayed ACK.
 """
@@ -335,7 +336,12 @@ def run_client_session(host: str, port: int) -> Optional[SessionExchange]:
             raise ProtocolError(f"expected HELLO, got {msg_type}")
         if body.get("done"):
             return None
-        utt = Utterance.from_json(json.dumps(body["utterance"]))
+        try:
+            utt = Utterance.from_json(json.dumps(body["utterance"]))
+        except KeyError as exc:
+            raise ProtocolError(f"bad HELLO utterance: missing field {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ProtocolError(f"bad HELLO utterance: {exc}") from None
         try:
             config = config_from_dict(body.get("config"))
         except ValueError as exc:

@@ -315,7 +315,7 @@ def test_criterion_10_emission_rate_properties():
                 compute=ComputeModel(per_decision_ms=1.0, per_unit_ms=0.1),
             )
             result = run_session(utt, config, WaitKPolicy(2))
-            spans = [e.payload for e in result.events if e.kind == "emit_audio"]
+            spans = [e.payload for e in result.events if e.kind == "vocoder_call"]
             total = sum(s["end_us"] - s["start_us"] for s in spans)
             conserved = conserved and total == n_units * unit_us
             delays[l] = result.ideal_delays_us

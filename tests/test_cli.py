@@ -133,11 +133,22 @@ def test_eval_rejects_bad_results(tmp_path, capsys):
     record = json.loads(good)
     missing = {k: v for k, v in record.items() if k != "src_len"}
     old_format = dict(record, events=[{"t_us": 0, "wall_us": 0, "kind": "write_unit"}])
+    # a synthesis batch as logged before vocoder_call carried its playback span
+    old_batch = dict(
+        record,
+        events=[
+            {"t_us": 0, "wall_us": 0, "kind": "vocoder_call", "n_units": 1},
+            {"t_us": 0, "wall_us": 0, "kind": "emit_audio", "start_us": 0, "end_us": 20000},
+        ],
+    )
+    no_span = dict(record, events=[{"t_us": 0, "wall_us": 0, "kind": "vocoder_call", "n_units": 1}])
     cases = {
         "nope.jsonl": (None, "cannot read results"),
         "garbled.jsonl": ("{not json", "line 2"),
         "missing.jsonl": (json.dumps(missing), "line 2: missing field 'src_len'"),
         "old.jsonl": (json.dumps(old_format), "line 2: unknown event kind 'write_unit'"),
+        "old-batch.jsonl": (json.dumps(old_batch), "line 2: unknown event kind 'emit_audio'"),
+        "no-span.jsonl": (json.dumps(no_span), "line 2: missing field 'start_us'"),
     }
     capsys.readouterr()
     for name, (bad_line, message) in cases.items():
@@ -333,6 +344,16 @@ def test_non_finite_config_is_rejected(tmp_path, capsys, flags, config):
     assert not out.exists()
 
 
+def test_out_of_range_scorer_value_is_rejected_at_load(tmp_path, capsys):
+    corpus = _gen(tmp_path, n=3)
+    argv = ["simulate", "--corpus", str(corpus), "--policy", "vmma", "--scorer", "constant"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--scorer-value", "5"])
+    assert exc.value.code == 2
+    err = _one_error_line(capsys)
+    assert "bad option: scorer_value must be strictly inside (0, 1) at $['policy']" in err
+
+
 _GOOD_UTT = {
     "id": "u", "source": [1, 2], "target": [1, 2], "oracle_alignment": [1, 2], "src_tok_ms": 100.0
 }
@@ -401,6 +422,10 @@ def test_connect_errors_are_one_line(tmp_path, capsys):
             _fake_server(lambda chan: chan.send("HELLO", bad_hello)),
             "bad HELLO config: 'psychic' is not one of ['waitk', 'offline', 'vmma']"
             " at $['policy']['kind']",
+        ),
+        "bad-hello-utterance": (
+            _fake_server(lambda chan: chan.send("HELLO", {"utterance": {"id": "u"}, "config": {}})),
+            "bad HELLO utterance: missing field 'source'",
         ),
     }
     for name, (port, message) in cases.items():

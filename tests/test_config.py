@@ -49,6 +49,8 @@ CONFIG_SCHEMA = {
     },
 }
 
+SCORER_VALUE = CONFIG_SCHEMA["properties"]["policy"]["properties"]["scorer_value"]
+
 DEFAULTS = {
     "pre_decision_ms": None,
     "emission_rate_l": 1,
@@ -90,14 +92,17 @@ def reference_load(d):
 
 
 def allowed_new_rejection(d: dict, schema: dict = CONFIG_SCHEMA) -> bool:
-    """d (accepted by the reference) holds a non-finite number or an
-    integral float in an integer field: the only values the reference
-    took that the dataclasses may refuse."""
+    """d (accepted by the reference) holds a non-finite number, an
+    integral float in an integer field or a policy.scorer_value outside
+    (0, 1): the only values the reference took that the dataclasses may
+    refuse."""
     for key, value in d.items():
         sub = schema["properties"][key]
         if isinstance(value, dict):
             if allowed_new_rejection(value, sub):
                 return True
+        elif sub is SCORER_VALUE and not 0 < value < 1:
+            return True
         elif isinstance(value, float):
             if not math.isfinite(value) or sub.get("type") == "integer":
                 return True

@@ -89,7 +89,7 @@ def test_audio_conservation_across_emission_rates():
         spans = [
             (e.payload["start_us"], e.payload["end_us"])
             for e in res.events
-            if e.kind == "emit_audio"
+            if e.kind == "vocoder_call"
         ]
         assert sum(end - start for start, end in spans) == 2 * 2 * 20_000
         calls = [e.payload["n_units"] for e in res.events if e.kind == "vocoder_call"]
@@ -167,16 +167,19 @@ def test_event_log_replays_to_identical_metrics(rng):
         assert again.consumption == res.consumption
 
 
-def _per_unit_reference(trace, utt, cfg):
+def _per_unit_reference(trace, utt, cfg, spans=None):
     """Unit-by-unit replay of a schedule: a buffer of (token, is_last)
     units, flushed when it holds emission_rate_l units and after the last
-    token. Returns consumption, both delay tuples and full_source_index."""
+    token. Returns consumption, both delay tuples and full_source_index.
+    Each flush plays its units back from max(t_ca, the previous span's
+    end); if spans is a list, the (start_us, end_us) spans go into it."""
     seg_us = round(utt.source_token_duration_ms * 1000)
+    unit_us = round(cfg.unit_ms * 1000)
     dec_us = round(cfg.compute.per_decision_ms * 1000)
     per_unit_us = round(cfg.compute.per_unit_ms * 1000)
     upt, l, n = cfg.units_per_token, cfg.emission_rate_l, utt.target_len
     last_read_step = max(i for i, a in enumerate(trace) if a is Action.READ)
-    t_ideal = t_ca = r = w = 0
+    t_ideal = t_ca = r = w = audio_end = 0
     buffer = []
     consumption, ideal, ca, call_step = [], [None] * n, [None] * n, [None] * n
     for step, a in enumerate(trace):
@@ -192,6 +195,10 @@ def _per_unit_reference(trace, utt, cfg):
             buffer.append((w, u == upt - 1))
             if len(buffer) == l or (w == n and u == upt - 1):
                 t_ca += len(buffer) * per_unit_us
+                start = max(t_ca, audio_end)
+                audio_end = start + len(buffer) * unit_us
+                if spans is not None:
+                    spans.append((start, audio_end))
                 for token, is_last in buffer:
                     if is_last:
                         ideal[token - 1], ca[token - 1] = t_ideal, t_ca
@@ -226,6 +233,11 @@ def test_event_fold_matches_per_unit_reference(schedule):
     got = (res.consumption, res.ideal_delays_us, res.ca_delays_us, res.full_source_index)
     assert got == _per_unit_reference(trace, utt, cfg)
     assert recompute_result_from_events(SessionResult.from_json(res.to_json())) == res
+    spans = []
+    _per_unit_reference(trace, utt, cfg, spans)
+    gaps = [start - end for (_, end), (start, _) in zip(spans, spans[1:]) if start > end]
+    want = (sum(gaps) / 1000, len(gaps), max(gaps, default=0) / 1000)
+    assert discontinuity_report(res.events) == want
 
 
 def test_result_json_round_trip():
