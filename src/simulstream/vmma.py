@@ -17,22 +17,31 @@ Two samplers ship:
 
 Path log-probabilities, the posterior/prior log-ratio, Monte Carlo and
 exact evidence-bound evaluation, and the standard priors live here too.
+The Monte Carlo estimate walks each sample once: the walk draws the same
+uniforms in the same order as sample_trace_from_table, scores the path
+under both tables as it goes and records its write columns, so its
+result is bit for bit what the per-trace API (sample_trace_from_table,
+actions_to_alignment, path_log_ratio) would give sample by sample.
+Policy tables with NaN or infinite entries are rejected.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Protocol, Sequence
+from typing import Callable, Iterator, Protocol, Sequence
 
 import numpy as np
 
-from .actions import Action, validate_trace
+from .actions import Action, trace_from_consumption, validate_trace
 
 PROB_CLAMP = 1e-7
+_CHUNK = 4096  # uniforms drawn per numpy call in estimate_elbo
 
 # free-state table lookups outside (PROB_CLAMP, 1-PROB_CLAMP) are clamped
-# and counted here; read via clamp_warning_count(), reset for tests
+# and counted here, one count per clamped lookup: the walk looks each free
+# state up once in each of its two tables, path_log_prob once in its one;
+# read via clamp_warning_count(), reset for tests
 _clamp_warnings = 0
 
 
@@ -214,8 +223,6 @@ def alignment_to_actions(align: np.ndarray) -> list[Action]:
         if len(js) != 1 or align[i, js[0]] != 1.0:
             raise InvalidTraceError(f"row {i} is not one-hot")
         positions.append(int(js[0]) + 1)
-    from .actions import trace_from_consumption
-
     return trace_from_consumption(positions, M)
 
 
@@ -276,39 +283,88 @@ def sample_trace_from_table(
     table: np.ndarray, src_len: int, tgt_len: int, rng_seed: int
 ) -> list[Action]:
     """Draw one action path from per-state Bernoulli write-probabilities."""
-    table = np.asarray(table, dtype=np.float64)
-    _check_table(table, src_len, tgt_len)
-    rng = np.random.default_rng(rng_seed)
-    return _walk_table(table, src_len, tgt_len, lambda p: rng.random() < p)
+    M, N = src_len, tgt_len
+    rows = _table(table, M, N, "policy").tolist()
+    # a path has fewer than M + N free states, so one chunk is enough
+    uniforms = _uniforms(np.random.default_rng(rng_seed), M + N)
+    cols, _, _ = _walk(rows, rows, M, N, uniforms)
+    return trace_from_consumption([c + 1 for c in cols], M)
 
 
-def _walk_table(table, M, N, decide: Callable[[float], bool]) -> list[Action]:
-    w = r = 0
-    out = []
-    while w < N or r < M:
-        if r == 0 or w == N:
-            a = Action.READ
-        elif r == M:
-            a = Action.WRITE
+def _uniforms(rng: np.random.Generator, chunk: int) -> Iterator[float]:
+    """rng.random() values in draw order, fetched chunk at a time."""
+    while True:
+        yield from rng.random(chunk).tolist()
+
+
+def _walk(
+    q: list[list[float]], p: list[list[float]], M: int, N: int, uniforms: Iterator[float]
+) -> tuple[list[int], float, float]:
+    """Walk one path from (0, 0) to (N, M), scoring it under q and p.
+
+    At each free state the walk takes the next uniform u and writes iff
+    u < q (clamped); forced states take none. It adds the chosen action's
+    log-probability under q to lq and under p to lp, in path order, as
+    path_log_prob does. Returns (cols, lq, lp), where cols[i] is the
+    0-based source column at which target token i is written.
+    """
+    cols = []
+    lq = lp = 0.0
+    w, r = 0, 1  # the first action is a forced READ
+    while w < N and r < M:
+        qw = _clamped(q[w][r - 1])
+        pw = _clamped(p[w][r - 1])
+        if next(uniforms) < qw:
+            lq += math.log(qw)
+            lp += math.log(pw)
+            cols.append(r - 1)
+            w += 1
         else:
-            a = Action.WRITE if decide(_clamped(float(table[w, r - 1]))) else Action.READ
-        out.append(a)
+            lq += math.log(1.0 - qw)
+            lp += math.log(1.0 - pw)
+            r += 1
+    cols += [M - 1] * (N - w)  # source exhausted: the remaining writes are forced
+    return cols, lq, lp
+
+
+def _replay(actions: Sequence[Action], M: int, N: int) -> Iterator[float]:
+    """Uniforms under which _walk retraces a valid path: 0.0 writes, 1.0 reads.
+
+    Clamped probabilities lie in [PROB_CLAMP, 1 - PROB_CLAMP], so 0.0 is
+    below every one of them and 1.0 above.
+    """
+    w = r = 0
+    for a in actions:
+        if 0 < r < M and w < N:
+            yield 0.0 if a is Action.WRITE else 1.0
         if a is Action.READ:
             r += 1
         else:
             w += 1
-    return out
 
 
-def _check_table(table: np.ndarray, M: int, N: int) -> None:
+def _alignment(cols: list[int], M: int, N: int) -> np.ndarray:
+    """Hard alignment of a path from its write columns; a fresh array each call."""
+    align = np.zeros((N, M))
+    align[np.arange(N), cols] = 1.0
+    return align
+
+
+def _table(table, M: int, N: int, name: str) -> np.ndarray:
+    """The table as an (N, M) float64 array of finite entries, else ValueError."""
+    table = np.asarray(table, dtype=np.float64)
     if table.shape != (N, M):
-        raise ValueError(f"policy table must be {N}x{M}, got {table.shape}")
+        raise ValueError(f"{name} table must be {N}x{M}, got {table.shape}")
+    if M < 1:
+        raise ValueError("src_len must be >= 1")
+    if not np.all(np.isfinite(table)):
+        raise ValueError(f"{name} table must be finite (got NaN or inf)")
+    return table
 
 
 def path_log_prob(actions: Sequence[Action], table: np.ndarray, M: int, N: int) -> float:
     """log-probability of the trace under a table policy, free steps only."""
-    table = np.asarray(table, dtype=np.float64)
-    _check_table(table, M, N)
+    table = _table(table, M, N, "policy")
     check = validate_trace(actions, M, N)
     if not check.ok:
         raise InvalidTraceError(check.reason)
@@ -330,6 +386,7 @@ def path_log_ratio(
     actions: Sequence[Action], phi: np.ndarray, omega: np.ndarray, M: int, N: int
 ) -> float:
     """log q_phi(trace) - log p_omega(trace); zero when the tables agree."""
+    phi, omega = _table(phi, M, N, "phi"), _table(omega, M, N, "omega")
     return path_log_prob(actions, phi, M, N) - path_log_prob(actions, omega, M, N)
 
 
@@ -367,26 +424,27 @@ def estimate_elbo(
     """Monte Carlo evidence bound: mean loglik minus mean log-ratio.
 
     Traces are sampled from the phi table; the likelihood callable takes
-    the hard alignment matrix of each sampled trace. Returns
+    the hard alignment matrix of each sampled trace. One walk per sample
+    draws the path, scores it under phi and omega and builds its
+    alignment, from one RNG stream in sample_trace_from_table's draw
+    order; the result is bit for bit the per-trace API's. Returns
     (elbo, kl_estimate, loglik_estimate).
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    phi = np.asarray(phi, dtype=np.float64)
-    omega = np.asarray(omega, dtype=np.float64)
     M, N = src_len, tgt_len
-    _check_table(phi, M, N)
-    _check_table(omega, M, N)
-    rng = np.random.default_rng(rng_seed)
+    q = _table(phi, M, N, "phi").tolist()
+    p = _table(omega, M, N, "omega").tolist()
+    uniforms = _uniforms(np.random.default_rng(rng_seed), _CHUNK)
     loglik_sum = 0.0
     ratio_sum = 0.0
     for s in range(n_samples):
-        actions = _walk_table(phi, M, N, lambda p: rng.random() < p)
-        ll = float(likelihood(actions_to_alignment(actions, M, N)))
+        cols, lq, lp = _walk(q, p, M, N, uniforms)
+        ll = float(likelihood(_alignment(cols, M, N)))
         if not math.isfinite(ll):
             raise EvaluationError(f"non-finite likelihood at sample {s}")
         loglik_sum += ll
-        ratio_sum += path_log_ratio(actions, phi, omega, M, N)
+        ratio_sum += lq - lp
     loglik = loglik_sum / n_samples
     kl = ratio_sum / n_samples
     return loglik - kl, kl, loglik
@@ -401,23 +459,24 @@ def exact_elbo(
 ) -> tuple[float, float]:
     """Exact (elbo, log_marginal) by enumerating every trace. Small only.
 
-    The bound elbo <= log_marginal holds for any posterior table.
+    The bound elbo <= log_marginal holds for any posterior table. The
+    log marginal is a max-shifted log-sum-exp, so it stays finite when
+    every term underflows or overflows exp.
     """
-    phi = np.asarray(phi, dtype=np.float64)
-    omega = np.asarray(omega, dtype=np.float64)
     M, N = src_len, tgt_len
-    _check_table(phi, M, N)
-    _check_table(omega, M, N)
+    q = _table(phi, M, N, "phi").tolist()
+    p = _table(omega, M, N, "omega").tolist()
     elbo = 0.0
-    marginal = 0.0
-    for actions in enumerate_traces(M, N):
-        lp_phi = path_log_prob(actions, phi, M, N)
-        lp_omega = path_log_prob(actions, omega, M, N)
-        ll = float(likelihood(actions_to_alignment(actions, M, N)))
-        q = math.exp(lp_phi)
-        elbo += q * (ll - (lp_phi - lp_omega))
-        marginal += math.exp(lp_omega + ll)
-    return elbo, math.log(marginal)
+    terms = []
+    for k, actions in enumerate(enumerate_traces(M, N)):
+        cols, lp_phi, lp_omega = _walk(q, p, M, N, _replay(actions, M, N))
+        ll = float(likelihood(_alignment(cols, M, N)))
+        if not math.isfinite(ll):
+            raise EvaluationError(f"non-finite likelihood at trace {k}")
+        elbo += math.exp(lp_phi) * (ll - (lp_phi - lp_omega))
+        terms.append(lp_omega + ll)
+    top = max(terms)
+    return elbo, top + math.log(sum(math.exp(t - top) for t in terms))
 
 
 def diagonal_prior(src_len: int, tgt_len: int, sharpness: float = 2.0) -> np.ndarray:

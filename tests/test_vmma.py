@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from simulstream.actions import Action, consumed_before_write, validate_trace
 from simulstream.vmma import (
@@ -19,6 +21,7 @@ from simulstream.vmma import (
     enumerate_traces,
     estimate_elbo,
     exact_elbo,
+    PROB_CLAMP,
     path_log_prob,
     path_log_ratio,
     reset_clamp_warnings,
@@ -307,3 +310,148 @@ def test_sharp_diagonal_prior_concentrates_delays(rng):
     delays /= n
     for i in range(6):
         assert abs(delays[i] - (i + 1)) <= 1.0
+
+
+def _reference_walk(table, m, n, rng):
+    """Scalar table walk: one rng.random() per free state, clamped lookup."""
+    w = r = 0
+    out = []
+    while w < n or r < m:
+        if r == 0 or w == n:
+            a = R
+        elif r == m:
+            a = W
+        else:
+            p = min(max(float(table[w, r - 1]), PROB_CLAMP), 1.0 - PROB_CLAMP)
+            a = W if rng.random() < p else R
+        out.append(a)
+        if a is R:
+            r += 1
+        else:
+            w += 1
+    return out
+
+
+def _three_pass_elbo(likelihood, phi, omega, m, n, n_samples, seed):
+    """The estimate built from the per-trace API: sample, align, score twice."""
+    rng = np.random.default_rng(seed)
+    loglik_sum = 0.0
+    ratio_sum = 0.0
+    for _ in range(n_samples):
+        actions = _reference_walk(phi, m, n, rng)
+        loglik_sum += float(likelihood(actions_to_alignment(actions, m, n)))
+        ratio_sum += path_log_ratio(actions, phi, omega, m, n)
+    loglik = loglik_sum / n_samples
+    kl = ratio_sum / n_samples
+    return loglik - kl, kl, loglik
+
+
+# table entries on, inside and outside [0, 1]; outside values are clamped
+_ENTRY = st.one_of(
+    st.floats(0.0, 1.0),
+    st.sampled_from([0.0, 1.0, -0.5, 1.5, PROB_CLAMP / 2, 1.0 - PROB_CLAMP / 2]),
+)
+
+
+@st.composite
+def _elbo_inputs(draw, max_side=12):
+    m = draw(st.integers(1, max_side))
+    n = draw(st.integers(1, max_side))
+
+    def table(elements):
+        return np.array(draw(st.lists(elements, min_size=m * n, max_size=m * n))).reshape(n, m)
+
+    phi, omega = table(_ENTRY), table(_ENTRY)
+    weights = table(st.floats(-2.0, 2.0))
+    return m, n, phi, omega, weights, draw(st.integers(1, 300)), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_elbo_inputs())
+@example((7, 1, np.full((1, 7), 0.5), np.zeros((1, 7)), np.ones((1, 7)), 40, 3))
+@example((1, 7, np.full((7, 1), 0.5), np.ones((7, 1)), np.ones((7, 1)), 40, 3))
+def test_estimate_elbo_equals_three_pass_reference(case):
+    m, n, phi, omega, weights, n_samples, seed = case
+    loglik = _tabular_likelihood(weights)
+    got = estimate_elbo(loglik, phi, omega, m, n, n_samples, seed)
+    assert got == _three_pass_elbo(loglik, phi, omega, m, n, n_samples, seed)
+    want = _reference_walk(phi, m, n, np.random.default_rng(seed))
+    assert sample_trace_from_table(phi, m, n, seed) == want
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_elbo_inputs(max_side=4))
+def test_exact_elbo_equals_per_trace_sum(case):
+    m, n, phi, omega, weights, _, _ = case
+    loglik = _tabular_likelihood(weights)
+    want_elbo = 0.0
+    terms = []
+    for actions in enumerate_traces(m, n):
+        lp_phi = path_log_prob(actions, phi, m, n)
+        lp_omega = path_log_prob(actions, omega, m, n)
+        ll = loglik(actions_to_alignment(actions, m, n))
+        want_elbo += math.exp(lp_phi) * (ll - (lp_phi - lp_omega))
+        terms.append(lp_omega + ll)
+    elbo, log_marginal = exact_elbo(loglik, phi, omega, m, n)
+    assert elbo == want_elbo
+    assert log_marginal == pytest.approx(math.log(sum(math.exp(t) for t in terms)), abs=1e-12)
+
+
+def test_estimate_elbo_pinned_bench_input():
+    # the benchmark's policy-math ELBO call: 30x30, 200 samples, seed 32
+    phi = diagonal_prior(30, 30, sharpness=2.0)
+    omega = diagonal_prior(30, 30, sharpness=0.5)
+    weights = np.random.default_rng(32).normal(0.0, 0.1, size=(30, 30))
+    got = estimate_elbo(_tabular_likelihood(weights), phi, omega, 30, 30, 200, rng_seed=32)
+    assert got == (-6.067197225825012, 5.741515688544682, -0.3256815372803301)
+
+
+def test_estimate_elbo_counts_each_clamped_lookup():
+    # phi = 0 reads at both free states (0,1) and (0,2) of every sample;
+    # omega = 1 is clamped there too: two counts per free state
+    reset_clamp_warnings()
+    estimate_elbo(lambda a: 0.0, np.zeros((2, 3)), np.ones((2, 3)), 3, 2, 5, rng_seed=0)
+    assert clamp_warning_count() == 5 * 2 * 2
+    reset_clamp_warnings()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_tables_are_rejected(bad):
+    ok = np.full((2, 3), 0.5)
+    broken = ok.copy()
+    broken[1, 1] = bad
+    trace = [R, W, R, W, R]
+    calls = {
+        "policy": [
+            lambda: path_log_prob(trace, broken, 3, 2),
+            lambda: sample_trace_from_table(broken, 3, 2, 0),
+        ],
+        "phi": [
+            lambda: path_log_ratio(trace, broken, ok, 3, 2),
+            lambda: estimate_elbo(lambda a: 0.0, broken, ok, 3, 2, 5, rng_seed=0),
+            lambda: exact_elbo(lambda a: 0.0, broken, ok, 3, 2),
+        ],
+        "omega": [
+            lambda: path_log_ratio(trace, ok, broken, 3, 2),
+            lambda: estimate_elbo(lambda a: 0.0, ok, broken, 3, 2, 5, rng_seed=0),
+            lambda: exact_elbo(lambda a: 0.0, ok, broken, 3, 2),
+        ],
+    }
+    for name, fns in calls.items():
+        for fn in fns:
+            with pytest.raises(ValueError, match=f"{name} table must be finite"):
+                fn()
+
+
+@pytest.mark.parametrize("ll", [-1e6, 1e6])
+def test_exact_log_marginal_survives_extreme_likelihoods(ll):
+    omega = np.full((3, 3), 0.5)
+    elbo, log_marginal = exact_elbo(lambda a: ll, omega, omega, 3, 3)
+    assert log_marginal == pytest.approx(ll, abs=1e-9)
+    assert elbo <= log_marginal + 1e-9
+
+
+def test_exact_elbo_rejects_nonfinite_likelihood():
+    phi = np.full((2, 2), 0.5)
+    with pytest.raises(RuntimeError, match="trace 0"):
+        exact_elbo(lambda a: float("nan"), phi, phi, 2, 2)
