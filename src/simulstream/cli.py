@@ -33,7 +33,7 @@ from .corpus import (
     read_corpus,
     write_corpus,
 )
-from .latency import report_csv_header, report_csv_row
+from .latency import LatencyReport, report_csv_header, report_csv_row
 from .session import (
     SessionConfig,
     SessionError,
@@ -108,9 +108,8 @@ def _read_corpus_or_die(path: str):
     return corpus
 
 
-def _aggregate_row(results: Sequence[SessionResult]) -> str:
+def _aggregate_row(results: Sequence[SessionResult], reports: Sequence[LatencyReport]) -> str:
     n = len(results)
-    reports = [r.report() for r in results]
     mean = lambda xs: sum(xs) / n
     return ",".join(
         [
@@ -166,10 +165,11 @@ def cmd_simulate(args) -> int:
     if args.out_csv:
         with open(args.out_csv, "w", encoding="utf-8") as f:
             f.write(report_csv_header() + "\n")
-            for r in results:
-                f.write(report_csv_row(r.utterance_id, r.report(), r.quality) + "\n")
+            reports = [r.report() for r in results]
+            for r, report in zip(results, reports):
+                f.write(report_csv_row(r.utterance_id, report, r.quality) + "\n")
             if results:
-                f.write(_aggregate_row(results) + "\n")
+                f.write(_aggregate_row(results, reports) + "\n")
     for line in failures:
         print(f"failed: {line}", file=sys.stderr)
     print(f"simulated {len(results)}/{len(corpus)} utterances with {config.policy.label()}")

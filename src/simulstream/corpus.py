@@ -12,6 +12,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -194,20 +195,22 @@ def read_corpus(path) -> list[Utterance]:
 _MAX_ORDER = 4
 
 
-def _ngram_counts(tokens: Sequence[int], order: int) -> Counter:
-    return Counter(tuple(tokens[k : k + order]) for k in range(len(tokens) - order + 1))
+def _ngram_counts(tokens: Sequence[int]) -> Counter:
+    """Counts of every n-gram of orders 1.._MAX_ORDER, each a tuple of n tokens."""
+    orders = range(1, _MAX_ORDER + 1)
+    return Counter(chain.from_iterable(zip(*(tokens[k:] for k in range(n))) for n in orders))
 
 
 def _match_totals(hypothesis: Sequence[int], reference: Sequence[int]):
     """Per-order (matched, total) clipped n-gram counts for one pair."""
-    stats = []
-    for order in range(1, _MAX_ORDER + 1):
-        hyp_counts = _ngram_counts(hypothesis, order)
-        ref_counts = _ngram_counts(reference, order)
-        matched = sum(min(c, ref_counts[g]) for g, c in hyp_counts.items())
-        total = max(len(hypothesis) - order + 1, 0)
-        stats.append((matched, total))
-    return stats
+    ref_counts = _ngram_counts(reference)
+    matched = [0] * _MAX_ORDER
+    for gram, count in _ngram_counts(hypothesis).items():
+        ref = ref_counts.get(gram)
+        if ref:
+            matched[len(gram) - 1] += min(count, ref)
+    n = len(hypothesis)
+    return [(matched[order - 1], max(n - order + 1, 0)) for order in range(1, _MAX_ORDER + 1)]
 
 
 def _bleu_from_stats(stats, hyp_len: int, ref_len: int) -> float:

@@ -14,15 +14,19 @@ flush) and emits an audio span on the playback timeline. A token's
 delay is the clock reading of the call that produced its last unit.
 
 The event log is the record a session's per-token fields are derived
-from (see fold_events). Every event carries t_us (ideal clock) and
-wall_us (computation-aware clock); the three kinds and their payloads:
+from (see fold_events). Each event is a row, a tuple (t_us, wall_us,
+kind, *fields): t_us is the ideal clock, wall_us the computation-aware
+clock, and the fields are those EVENT_FIELDS names for the kind:
 
-* read          {index}: the policy consumed source segment index (1-based)
-* write         {token, n_units, src_consumed}: the policy wrote token
+* read          (index): the policy consumed source segment index (1-based)
+* write         (token, n_units, src_consumed): the policy wrote token
   (1-based) as n_units units after reading src_consumed segments
-* vocoder_call  {n_units, start_us, end_us}: the synthesis stub consumed
+* vocoder_call  (n_units, start_us, end_us): the synthesis stub consumed
   n_units buffered units, oldest first, and plays them back over
   [start_us, end_us)
+
+Event.payload is a view derived on demand, the fields as a dict by name.
+A results file stores each event as one JSON object with sorted keys.
 
 Segment arrivals and the end of the session are not logged: segment i
 arrives at i * source_duration_us / src_len, and the result stores both.
@@ -38,6 +42,8 @@ import json
 import math
 import zlib
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from itertools import chain
+from operator import itemgetter
 from typing import Literal, Optional, Protocol, Sequence, Union, get_args, get_origin, get_type_hints
 
 from .actions import Action, validate_trace, wait_k_trace
@@ -271,25 +277,80 @@ def policy_from_spec(spec: PolicySpec) -> Policy:
     return VmmaPolicy(spec.lam, spec.scorer, spec.scorer_value, spec.seed)
 
 
-@dataclass(frozen=True)
-class Event:
-    t_us: int  # ideal clock
-    wall_us: int  # computation-aware clock
-    kind: str
-    payload: dict
-
-    def to_dict(self) -> dict:
-        return {"t_us": self.t_us, "wall_us": self.wall_us, "kind": self.kind, **self.payload}
-
-
-EVENT_KINDS = ("read", "write", "vocoder_call")
+EVENT_FIELDS = {
+    "read": ("index",),
+    "write": ("token", "n_units", "src_consumed"),
+    "vocoder_call": ("n_units", "start_us", "end_us"),
+}
+EVENT_KINDS = tuple(EVENT_FIELDS)
+# an event's keys in row order, and the getter that reads a stored event into a row
+_ROW_KEYS = {kind: ("t_us", "wall_us", "kind", *names) for kind, names in EVENT_FIELDS.items()}
+_READERS = {kind: itemgetter(*keys) for kind, keys in _ROW_KEYS.items()}
 
 
-def event_from_dict(d: dict) -> Event:
-    payload = {k: v for k, v in d.items() if k not in ("t_us", "wall_us", "kind")}
-    if d["kind"] not in EVENT_KINDS:
-        raise SessionError(f"unknown event kind {d['kind']!r}")
-    return Event(int(d["t_us"]), int(d["wall_us"]), d["kind"], payload)
+def _encoder(kind: str):
+    """(format, getter): format % getter(row) is json.dumps(sort_keys=True)
+    of a kind row's event object, whose values are ints."""
+    keys = _ROW_KEYS[kind]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    parts = [f'"{keys[i]}": ' + (json.dumps(kind) if keys[i] == "kind" else "%d") for i in order]
+    return "{" + ", ".join(parts) + "}", itemgetter(*(i for i in order if keys[i] != "kind"))
+
+
+_ENCODERS = {kind: _encoder(kind) for kind in EVENT_FIELDS}
+
+
+class Event(tuple):
+    """One log entry as a row (t_us, wall_us, kind, *EVENT_FIELDS[kind])."""
+
+    __slots__ = ()
+
+    t_us = property(itemgetter(0), doc="ideal clock")
+    wall_us = property(itemgetter(1), doc="computation-aware clock")
+    kind = property(itemgetter(2))
+
+    @property
+    def payload(self) -> dict:
+        """The kind's fields by name, in EVENT_FIELDS order."""
+        return dict(zip(EVENT_FIELDS[self[2]], self[3:]))
+
+
+def _events_to_json(events: Sequence[Event]) -> str:
+    parts = []
+    for e in events:
+        fmt, get = _ENCODERS[e[2]]
+        parts.append(fmt % get(e))
+    return "[" + ", ".join(parts) + "]"
+
+
+def _events_from_json(stored: list) -> tuple[Event, ...]:
+    """Rows for a stored event list. An event must be an object of one
+    EVENT_FIELDS kind with exactly that kind's keys and integer values;
+    a missing key raises KeyError, anything else SessionError."""
+    for n, d in enumerate(stored, 1):  # every kind is known before any field is read
+        if type(d) is not dict:
+            raise SessionError(f"event {n} is not an object: {d!r}")
+        kind = d["kind"]
+        if type(kind) is not str or kind not in _READERS:
+            raise SessionError(f"unknown event kind {kind!r}")
+    rows = []
+    for n, d in enumerate(stored, 1):
+        kind = d["kind"]
+        row = _READERS[kind](d)
+        if len(row) != len(d):
+            extra = sorted(set(d) - set(_ROW_KEYS[kind]))
+            raise SessionError(f"event {n} ({kind}) has unknown field {extra[0]!r}")
+        rows.append(row)
+    types = list(map(type, chain.from_iterable(rows)))
+    if types.count(int) != len(types) - len(rows):  # every value but each row's kind
+        n, kind, key, value = next(
+            (n, row[2], key, value)
+            for n, row in enumerate(rows, 1)
+            for key, value in zip(_ROW_KEYS[row[2]], row)
+            if key != "kind" and type(value) is not int
+        )
+        raise SessionError(f"event {n} ({kind}): {key} {value!r} is not an integer")
+    return tuple(map(Event, rows))
 
 
 def synthetic_hypothesis_token(utterance: Utterance, index: int, consumed: int) -> int:
@@ -342,21 +403,25 @@ class SessionResult:
         return build_report(self.ideal_profile, self.ca_profile, total_gap, self.target_len)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "id": self.utterance_id,
-                "src_len": self.source_len,
-                "tgt_len": self.target_len,
-                "source_duration_us": self.source_duration_us,
-                "hypothesis": list(self.hypothesis),
-                "consumption": list(self.consumption),
-                "ideal_delays_us": list(self.ideal_delays_us),
-                "ca_delays_us": list(self.ca_delays_us),
-                "full_source_index": self.full_source_index,
-                "quality": self.quality,
-                "events": [e.to_dict() for e in self.events],
-            },
-            sort_keys=True,
+        """One JSON object with sorted keys; "events" sorts after the two
+        keys in `before` and before those in `after`."""
+        before = {"ca_delays_us": list(self.ca_delays_us), "consumption": list(self.consumption)}
+        after = {
+            "full_source_index": self.full_source_index,
+            "hypothesis": list(self.hypothesis),
+            "id": self.utterance_id,
+            "ideal_delays_us": list(self.ideal_delays_us),
+            "quality": self.quality,
+            "source_duration_us": self.source_duration_us,
+            "src_len": self.source_len,
+            "tgt_len": self.target_len,
+        }
+        return (
+            json.dumps(before, sort_keys=True)[:-1]
+            + ', "events": '
+            + _events_to_json(self.events)
+            + ", "
+            + json.dumps(after, sort_keys=True)[1:]
         )
 
     @classmethod
@@ -367,11 +432,11 @@ class SessionResult:
             source_len=int(d["src_len"]),
             target_len=int(d["tgt_len"]),
             source_duration_us=int(d["source_duration_us"]),
-            events=tuple(event_from_dict(e) for e in d["events"]),
-            hypothesis=tuple(int(t) for t in d["hypothesis"]),
-            consumption=tuple(int(g) for g in d["consumption"]),
-            ideal_delays_us=tuple(int(x) for x in d["ideal_delays_us"]),
-            ca_delays_us=tuple(int(x) for x in d["ca_delays_us"]),
+            events=_events_from_json(d["events"]),
+            hypothesis=tuple(map(int, d["hypothesis"])),
+            consumption=tuple(map(int, d["consumption"])),
+            ideal_delays_us=tuple(map(int, d["ideal_delays_us"])),
+            ca_delays_us=tuple(map(int, d["ca_delays_us"])),
             full_source_index=d["full_source_index"],
             quality=float(d["quality"]),
         )
@@ -415,34 +480,28 @@ def run_session(utterance: Utterance, config: SessionConfig, policy: Policy) -> 
             return delta
         return dec_us
 
-    def vocoder_flush(n_units: int):
-        nonlocal t_ca, buffered, audio_end
-        buffered -= n_units
-        t_ca += n_units * per_unit_us
-        start = max(t_ca, audio_end)
-        audio_end = start + n_units * unit_us
-        payload = {"n_units": n_units, "start_us": start, "end_us": audio_end}
-        events.append(Event(t_ideal, t_ca, "vocoder_call", payload))
-
     for a in trace:
         if a is Action.READ:
             r += 1
             arr = r * seg_us
             t_ideal = max(t_ideal, arr)
             t_ca = max(t_ca, arr) + charge_decision()
-            events.append(Event(t_ideal, t_ca, "read", {"index": r}))
+            events.append(Event((t_ideal, t_ca, "read", r)))
         else:
             w += 1
             t_ca += charge_decision()
             hypothesis.append(synthetic_hypothesis_token(utterance, w, r))
-            events.append(
-                Event(t_ideal, t_ca, "write", {"token": w, "n_units": upt, "src_consumed": r})
-            )
+            events.append(Event((t_ideal, t_ca, "write", w, upt, r)))
             buffered += upt
-            while buffered >= l:
-                vocoder_flush(l)
-            if w == N and buffered:
-                vocoder_flush(buffered)  # nothing further can arrive; emit the tail
+            # a vocoder call per emission_rate_l units; after the last
+            # token nothing further can arrive, so one more emits the tail
+            while buffered >= l or (buffered and w == N):
+                n_units = min(buffered, l)
+                buffered -= n_units
+                t_ca += n_units * per_unit_us
+                start = max(t_ca, audio_end)
+                audio_end = start + n_units * unit_us
+                events.append(Event((t_ideal, t_ca, "vocoder_call", n_units, start, audio_end)))
 
     return SessionResult(
         utterance_id=utterance.id,
@@ -471,20 +530,21 @@ def fold_events(events: Sequence[Event]) -> dict:
     ca: list[int] = []
     written = voiced = 0
     full_source_index = None
-    for e in events:
-        if e.kind == "read":
-            full_source_index = None
-        elif e.kind == "write":
-            consumption.append(e.payload["src_consumed"])
-            written += e.payload["n_units"]
+    for e in events:  # rows: (t_us, wall_us, kind, *EVENT_FIELDS[kind])
+        kind = e[2]
+        if kind == "write":  # token, n_units, src_consumed
+            consumption.append(e[5])
+            written += e[4]
             token_ends.append(written)
-        elif e.kind == "vocoder_call":
-            voiced += e.payload["n_units"]
+        elif kind == "vocoder_call":  # n_units, start_us, end_us
+            voiced += e[3]
             while len(ideal) < len(token_ends) and token_ends[len(ideal)] <= voiced:
                 if full_source_index is None:
                     full_source_index = len(ideal) + 1
-                ideal.append(e.t_us)
-                ca.append(e.wall_us)
+                ideal.append(e[0])
+                ca.append(e[1])
+        else:  # read
+            full_source_index = None
     if len(ideal) < len(token_ends):
         raise SessionError(f"event log leaves {len(token_ends) - len(ideal)} tokens unsynthesized")
     return {
@@ -497,8 +557,7 @@ def fold_events(events: Sequence[Event]) -> dict:
 
 def discontinuity_report(events: Sequence[Event]) -> tuple[float, int, float]:
     """(total_gap_ms, gap_count, max_gap_ms) between emitted audio spans."""
-    calls = [e.payload for e in events if e.kind == "vocoder_call"]
-    spans = [(c["start_us"], c["end_us"]) for c in calls]
+    spans = [(e[4], e[5]) for e in events if e[2] == "vocoder_call"]  # start_us, end_us
     total = 0
     count = 0
     biggest = 0

@@ -392,6 +392,8 @@ def path_log_ratio(
 
 def enumerate_traces(M: int, N: int, limit: int = 12) -> list[list[Action]]:
     """All valid action paths from (0,0) to (N,M); exponential, small only."""
+    if M < 1 or N < 1:
+        raise ValueError(f"enumeration needs M, N >= 1, got {M}x{N}")
     if M > limit or N > limit:
         raise ValueError(f"enumeration limited to {limit}, got {M}x{N}")
     out: list[list[Action]] = []

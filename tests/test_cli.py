@@ -142,6 +142,10 @@ def test_eval_rejects_bad_results(tmp_path, capsys):
         ],
     )
     no_span = dict(record, events=[{"t_us": 0, "wall_us": 0, "kind": "vocoder_call", "n_units": 1}])
+    first = record["events"][0]  # a read
+    extra_field = dict(record, events=[dict(first, bogus=1)])
+    float_time = dict(record, events=[dict(first, t_us=1.5)])
+    not_object = dict(record, events=[list(first.values())])
     cases = {
         "nope.jsonl": (None, "cannot read results"),
         "garbled.jsonl": ("{not json", "line 2"),
@@ -149,6 +153,9 @@ def test_eval_rejects_bad_results(tmp_path, capsys):
         "old.jsonl": (json.dumps(old_format), "line 2: unknown event kind 'write_unit'"),
         "old-batch.jsonl": (json.dumps(old_batch), "line 2: unknown event kind 'emit_audio'"),
         "no-span.jsonl": (json.dumps(no_span), "line 2: missing field 'start_us'"),
+        "extra.jsonl": (json.dumps(extra_field), "line 2: event 1 (read) has unknown field 'bogus'"),
+        "float.jsonl": (json.dumps(float_time), "line 2: event 1 (read): t_us 1.5 is not an integer"),
+        "not-object.jsonl": (json.dumps(not_object), "line 2: event 1 is not an object"),
     }
     capsys.readouterr()
     for name, (bad_line, message) in cases.items():

@@ -3,6 +3,8 @@ import math
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simulstream.corpus import (
     CorpusConfigError,
@@ -14,6 +16,7 @@ from simulstream.corpus import (
     read_corpus,
     write_corpus,
 )
+from simulstream.corpus import _bleu_from_stats, _match_totals
 
 
 def _reference_bleu(hyp, ref):
@@ -134,3 +137,33 @@ def test_utterance_validation():
         SyntheticTaskSpec(10, (5, 4))
     with pytest.raises(CorpusConfigError):
         SyntheticTaskSpec(10, (2, 4), "zigzag")
+
+
+def _match_totals_by_order(hypothesis, reference):
+    """The per-order n-gram statistics as first written: one Counter of
+    slices per side and order."""
+
+    def counts(tokens, order):
+        return Counter(tuple(tokens[k : k + order]) for k in range(len(tokens) - order + 1))
+
+    stats = []
+    for order in range(1, 5):
+        hyp_counts = counts(hypothesis, order)
+        ref_counts = counts(reference, order)
+        matched = sum(min(c, ref_counts[g]) for g, c in hyp_counts.items())
+        stats.append((matched, max(len(hypothesis) - order + 1, 0)))
+    return stats
+
+
+_token_lists = st.lists(st.integers(0, 5), max_size=14)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_token_lists, _token_lists, st.booleans())
+def test_match_totals_equal_per_order_counts(hypothesis_tokens, reference, as_tuple):
+    # a small vocabulary makes repeated n-grams, and so clipping, common
+    hyp = tuple(hypothesis_tokens) if as_tuple else hypothesis_tokens
+    assert _match_totals(hyp, reference) == _match_totals_by_order(hyp, reference)
+    if reference and hyp:
+        want = _bleu_from_stats(_match_totals_by_order(hyp, reference), len(hyp), len(reference))
+        assert quality_score(hyp, reference) == want

@@ -455,3 +455,9 @@ def test_exact_elbo_rejects_nonfinite_likelihood():
     phi = np.full((2, 2), 0.5)
     with pytest.raises(RuntimeError, match="trace 0"):
         exact_elbo(lambda a: float("nan"), phi, phi, 2, 2)
+
+
+@pytest.mark.parametrize("m, n", [(0, 2), (0, 1), (2, 0), (1, 0), (0, 0), (-1, 3)])
+def test_enumerate_traces_rejects_an_empty_side(m, n):
+    with pytest.raises(ValueError, match="M, N >= 1"):
+        enumerate_traces(m, n)
