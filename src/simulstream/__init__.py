@@ -58,7 +58,6 @@ from .latency import (
 )
 from .session import (
     ComputeModel,
-    OfflinePolicy,
     PolicySpec,
     ScriptedPolicy,
     SessionConfig,

@@ -33,7 +33,7 @@ from .corpus import (
     read_corpus,
     write_corpus,
 )
-from .latency import LatencyReport, report_csv_header, report_csv_row
+from .latency import corpus_mean, metrics_from_dict, report_csv_header, report_csv_row
 from .session import (
     SessionConfig,
     SessionError,
@@ -108,22 +108,6 @@ def _read_corpus_or_die(path: str):
     return corpus
 
 
-def _aggregate_row(results: Sequence[SessionResult], reports: Sequence[LatencyReport]) -> str:
-    n = len(results)
-    mean = lambda xs: sum(xs) / n
-    return ",".join(
-        [
-            "aggregate",
-            f"{mean([r.al_ms for r in reports]):.3f}",
-            f"{mean([r.ca_al_ms for r in reports]):.3f}",
-            f"{mean([r.mean_delay_ms for r in reports]):.3f}",
-            f"{mean([r.discontinuity_total_ms for r in reports]):.3f}",
-            str(sum(r.num_output_tokens for r in reports)),
-            f"{mean([x.quality for x in results]):.3f}",
-        ]
-    )
-
-
 def cmd_gen_corpus(args) -> int:
     try:
         spec = SyntheticTaskSpec(
@@ -169,7 +153,8 @@ def cmd_simulate(args) -> int:
             for r, report in zip(results, reports):
                 f.write(report_csv_row(r.utterance_id, report, r.quality) + "\n")
             if results:
-                f.write(_aggregate_row(results, reports) + "\n")
+                mean = corpus_mean(reports, [r.quality for r in results])
+                f.write(report_csv_row("aggregate", *mean) + "\n")
     for line in failures:
         print(f"failed: {line}", file=sys.stderr)
     print(f"simulated {len(results)}/{len(corpus)} utterances with {config.policy.label()}")
@@ -194,12 +179,8 @@ def cmd_sweep(args) -> int:
         failures += [f"{args.family}={value}: {line}" for line in failed]
         if failed:
             continue  # a mean over part of the corpus would not compare with the other rows
-        reports = [r.report() for r in results]
-        n = len(results)
-        quality = sum(r.quality for r in results) / n
-        al = sum(r.al_ms for r in reports) / n
-        ca = sum(r.ca_al_ms for r in reports) / n
-        rows.append(f"{value},{quality:.3f},{al:.3f},{ca:.3f}")
+        mean, quality = corpus_mean([r.report() for r in results], [r.quality for r in results])
+        rows.append(f"{value},{quality:.3f},{mean.al_ms:.3f},{mean.ca_al_ms:.3f}")
     with open(args.out, "w", encoding="utf-8") as f:
         f.write("param,quality,al_ms,ca_al_ms\n")
         for row in rows:
@@ -291,13 +272,8 @@ def cmd_connect(args) -> int:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as f:
             f.write(report_csv_header() + "\n")
-            for e in exchanges:
-                m = e.server_metrics
-                f.write(
-                    f"{e.utterance_id},{m['al_ms']:.3f},{m['ca_al_ms']:.3f},"
-                    f"{m['mean_delay_ms']:.3f},{m['discont_ms']:.3f},"
-                    f"{m['n_tokens']},{m['quality']:.3f}\n"
-                )
+            for e in exchanges:  # run_client_session has checked each one
+                f.write(report_csv_row(*metrics_from_dict(e.server_metrics)) + "\n")
     print(f"completed {len(exchanges)} sessions; {len(mismatched)} metric mismatches")
     return 1 if mismatched else 0
 

@@ -15,17 +15,15 @@ time charged by the session.
 
 from __future__ import annotations
 
-import json
 import math
+import sys
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 IDEAL = "ideal"
 COMPUTATION_AWARE = "computation_aware"
-
-REPORT_CSV_COLUMNS = ("id", "al_ms", "ca_al_ms", "mean_delay_ms", "discont_ms", "n_tokens", "quality")
 
 
 class MetricError(ValueError):
@@ -108,40 +106,25 @@ def expected_delays(alpha: np.ndarray, per_source_ms: float) -> DelayProfile:
     )
 
 
-@dataclass(frozen=True)
-class LatencyReport:
+class LatencyReport(NamedTuple):
+    """A session's latency metrics: with its id and quality, its CSV row
+    (REPORT_CSV_COLUMNS) and, by those names, its wire METRICS body."""
+
     al_ms: float
     ca_al_ms: float
     mean_delay_ms: float
-    discontinuity_total_ms: float
-    num_output_tokens: int
+    discont_ms: float
+    n_tokens: int
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "al_ms": self.al_ms,
-                "ca_al_ms": self.ca_al_ms,
-                "mean_delay_ms": self.mean_delay_ms,
-                "discontinuity_total_ms": self.discontinuity_total_ms,
-                "num_output_tokens": self.num_output_tokens,
-            },
-            sort_keys=True,
-        )
 
-    @classmethod
-    def from_json(cls, text: str) -> "LatencyReport":
-        d = json.loads(text)
-        return cls(
-            al_ms=float(d["al_ms"]),
-            ca_al_ms=float(d["ca_al_ms"]),
-            mean_delay_ms=float(d["mean_delay_ms"]),
-            discontinuity_total_ms=float(d["discontinuity_total_ms"]),
-            num_output_tokens=int(d["num_output_tokens"]),
-        )
+REPORT_CSV_COLUMNS = ("id", *LatencyReport._fields, "quality")
+_CSV_ROW = ",".join(
+    ["%s", *("%d" if name == "n_tokens" else "%.3f" for name in LatencyReport._fields), "%.3f"]
+)
 
 
 def build_report(
-    ideal: DelayProfile, ca: DelayProfile, discontinuity_total_ms: float, tgt_len: int
+    ideal: DelayProfile, ca: DelayProfile, discont_ms: float, tgt_len: int
 ) -> LatencyReport:
     if len(ideal.delays_ms) != len(ca.delays_ms):
         raise MetricError("profile lengths differ")
@@ -150,8 +133,8 @@ def build_report(
         al_ms=average_lagging(ideal, tgt_len),
         ca_al_ms=average_lagging(ca, tgt_len),
         mean_delay_ms=mean_delay,
-        discontinuity_total_ms=discontinuity_total_ms,
-        num_output_tokens=len(ideal.delays_ms),
+        discont_ms=discont_ms,
+        n_tokens=len(ideal.delays_ms),
     )
 
 
@@ -160,14 +143,51 @@ def report_csv_header() -> str:
 
 
 def report_csv_row(utt_id: str, report: LatencyReport, quality: float) -> str:
-    return ",".join(
-        [
-            utt_id,
-            f"{report.al_ms:.3f}",
-            f"{report.ca_al_ms:.3f}",
-            f"{report.mean_delay_ms:.3f}",
-            f"{report.discontinuity_total_ms:.3f}",
-            str(report.num_output_tokens),
-            f"{quality:.3f}",
-        ]
+    """A REPORT_CSV_COLUMNS row: n_tokens an integer, the rest to three decimals."""
+    return _CSV_ROW % (utt_id, *report, quality)
+
+
+def corpus_mean(
+    reports: Sequence[LatencyReport], qualities: Sequence[float]
+) -> tuple[LatencyReport, float]:
+    """Each field's mean over a corpus, n_tokens summed; and the mean quality."""
+    n = len(reports)
+    mean = LatencyReport(*(sum(column) / n for column in zip(*reports)))
+    return mean._replace(n_tokens=sum(r.n_tokens for r in reports)), sum(qualities) / n
+
+
+def metrics_to_dict(utt_id: str, report: LatencyReport, quality: float) -> dict:
+    """The metrics by REPORT_CSV_COLUMNS name, in that order."""
+    return dict(zip(REPORT_CSV_COLUMNS, (utt_id, *report, quality)))
+
+
+def is_int(value) -> bool:
+    return type(value) is int  # a bool is not
+
+
+def is_number(value) -> bool:
+    """An int or a float within float range: never a bool, NaN or inf."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+def checked_field(d: dict, key: str, ok, want: str):
+    """d[key] if ok(d[key]); else a ValueError naming key."""
+    if key not in d:
+        raise ValueError(f"missing field {key!r}")
+    if not ok(d[key]):
+        raise ValueError(f"{key} {d[key]!r} is not {want}")
+    return d[key]
+
+
+_COLUMN_RULES = {"id": (lambda v: type(v) is str, "a string"), "n_tokens": (is_int, "an integer")}
+
+
+def metrics_from_dict(d: dict) -> tuple[str, LatencyReport, float]:
+    """(id, report, quality) read back from a metrics_to_dict dict, such
+    as a wire METRICS body; other keys are ignored. Each column must be
+    there, id a string, n_tokens an int and the rest finite numbers."""
+    utt_id, *values, quality = (
+        checked_field(d, key, *_COLUMN_RULES.get(key, (is_number, "a finite number")))
+        for key in REPORT_CSV_COLUMNS
     )
+    return utt_id, LatencyReport(*values), quality

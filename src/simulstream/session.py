@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import functools
 import json
-import math
+import sys
 import zlib
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from itertools import chain
@@ -49,10 +49,12 @@ from typing import Literal, Optional, Protocol, Sequence, Union, get_args, get_o
 from .actions import Action, validate_trace, wait_k_trace
 from .corpus import Utterance, quality_score
 from .latency import COMPUTATION_AWARE, IDEAL, DelayProfile, LatencyReport, build_report
+from .latency import checked_field, is_int, is_number
 from .vmma import ConstantScorer, OracleScorer, change_to_actions, sample_change_trace
 
 GUESS_BASE = 1 << 20  # synthetic wrong guesses live far outside any vocab
 GUESS_SPACE = 1009
+OFFLINE_K = sys.maxsize  # a wait-k head start past every source: read it all, then write
 
 
 class SessionError(RuntimeError):
@@ -95,11 +97,9 @@ def _checked(rule, value, where: str):
     if choices:
         ok, want = value in choices, f"one of {list(choices)}"
     elif tp is int:
-        ok, want = isinstance(value, int) and not isinstance(value, bool), "an integer"
+        ok, want = is_int(value), "an integer"
     else:  # float, the only other type a setting has
-        number = isinstance(value, (int, float)) and not isinstance(value, bool)
-        ok = number and (isinstance(value, int) or math.isfinite(value))
-        want = "a finite number"
+        ok, want = is_number(value), "a finite number"
     if not ok:
         raise ValueError(f"{value!r} is not {want} at {where}")
     return value
@@ -225,12 +225,6 @@ class WaitKPolicy:
         return wait_k_trace(self.k, utterance.source_len, utterance.target_len)
 
 
-@dataclass(frozen=True)
-class OfflinePolicy:
-    def plan(self, utterance: Utterance) -> list[Action]:
-        return wait_k_trace(utterance.source_len, utterance.source_len, utterance.target_len)
-
-
 def stable_utterance_seed(base_seed: int, utt_id: str) -> int:
     """Per-utterance RNG seed that survives process restarts."""
     return (base_seed * 2654435761 + zlib.crc32(utt_id.encode())) % (1 << 63)
@@ -273,7 +267,7 @@ def policy_from_spec(spec: PolicySpec) -> Policy:
     if spec.kind == "waitk":
         return WaitKPolicy(spec.k)
     if spec.kind == "offline":
-        return OfflinePolicy()
+        return WaitKPolicy(OFFLINE_K)
     return VmmaPolicy(spec.lam, spec.scorer, spec.scorer_value, spec.seed)
 
 
@@ -426,20 +420,26 @@ class SessionResult:
 
     @classmethod
     def from_json(cls, text: str) -> "SessionResult":
+        """A to_json line read back: a missing or mistyped field raises
+        ValueError naming it (for the events, see _events_from_json)."""
         d = json.loads(text)
         return cls(
-            utterance_id=d["id"],
-            source_len=int(d["src_len"]),
-            target_len=int(d["tgt_len"]),
-            source_duration_us=int(d["source_duration_us"]),
+            utterance_id=checked_field(d, "id", lambda v: type(v) is str, "a string"),
+            source_len=checked_field(d, "src_len", is_int, "an integer"),
+            target_len=checked_field(d, "tgt_len", is_int, "an integer"),
+            source_duration_us=checked_field(d, "source_duration_us", is_int, "an integer"),
             events=_events_from_json(d["events"]),
-            hypothesis=tuple(map(int, d["hypothesis"])),
-            consumption=tuple(map(int, d["consumption"])),
-            ideal_delays_us=tuple(map(int, d["ideal_delays_us"])),
-            ca_delays_us=tuple(map(int, d["ca_delays_us"])),
-            full_source_index=d["full_source_index"],
-            quality=float(d["quality"]),
+            hypothesis=tuple(checked_field(d, "hypothesis", *_INTS)),
+            consumption=tuple(checked_field(d, "consumption", *_INTS)),
+            ideal_delays_us=tuple(checked_field(d, "ideal_delays_us", *_INTS)),
+            ca_delays_us=tuple(checked_field(d, "ca_delays_us", *_INTS)),
+            full_source_index=checked_field(d, "full_source_index", *_INT_OR_NULL),
+            quality=checked_field(d, "quality", is_number, "a finite number"),
         )
+
+
+_INTS = (lambda v: type(v) is list and {*map(type, v)} <= {int}, "a list of integers")
+_INT_OR_NULL = (lambda v: v is None or is_int(v), "an integer or null")
 
 
 def run_session(utterance: Utterance, config: SessionConfig, policy: Policy) -> SessionResult:

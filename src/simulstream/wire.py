@@ -8,8 +8,7 @@ config; the client is the deciding agent. Flow:
     server -> SEGMENT   {index, payload, arrival_ms}   or EOS_SRC
     client -> WRITE     {token_index, token, src_consumed}
     client -> EOS_TGT   {}
-    server -> METRICS   {al_ms, ca_al_ms, mean_delay_ms, discont_ms,
-                         n_tokens, quality, remaining}
+    server -> METRICS   {each latency.REPORT_CSV_COLUMNS key, remaining}
     either -> ERROR     {reason}            (then the sender closes)
 
 Both ends stamp messages with per-direction sequence numbers and reject
@@ -26,10 +25,11 @@ longer than `MAX_FRAME_BYTES`. The server records `"<id>: <reason>"` in
 the client's input until it closes too (at most `LINGER_S` and
 `LINGER_MAX_BYTES`), so a client still sending reads the ERROR line
 rather than a connection reset; its `recv` raises
-`ProtocolError("peer error: <reason>")`. A client that gets a HELLO
-whose utterance does not parse raises `ProtocolError("bad HELLO
-utterance: ...")`, and one whose config fails `config_from_dict`
-`ProtocolError("bad HELLO config: ...")`. Sockets run with
+`ProtocolError("peer error: <reason>")`. A client raises
+`ProtocolError("bad <part>: ...")` for a HELLO utterance that does not
+parse or config that `config_from_dict` rejects, a SEGMENT without an
+integer index and a METRICS that `latency.metrics_from_dict` rejects
+or that names another session. Sockets run with
 TCP_NODELAY: a session is a chain of small request/reply messages, and
 Nagle's algorithm would hold each one back for the peer's delayed ACK.
 """
@@ -41,11 +41,13 @@ import socket
 import socketserver
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
 
 from .corpus import Utterance
 from .actions import Action
+from .latency import REPORT_CSV_COLUMNS, checked_field, is_int, metrics_from_dict, metrics_to_dict
 from .session import (
     ScriptedPolicy,
     SessionConfig,
@@ -130,16 +132,7 @@ class _Channel:
 
 
 def _metrics_body(result: SessionResult) -> dict:
-    report = result.report()
-    return {
-        "id": result.utterance_id,
-        "al_ms": report.al_ms,
-        "ca_al_ms": report.ca_al_ms,
-        "mean_delay_ms": report.mean_delay_ms,
-        "discont_ms": report.discontinuity_total_ms,
-        "n_tokens": report.num_output_tokens,
-        "quality": result.quality,
-    }
+    return metrics_to_dict(result.utterance_id, result.report(), result.quality)
 
 
 class EvalServer:
@@ -321,10 +314,19 @@ class SessionExchange:
     server_metrics: dict
 
     def max_field_gap(self) -> float:
-        keys = ("al_ms", "ca_al_ms", "mean_delay_ms", "discont_ms", "quality")
-        gaps = [abs(self.client_metrics[k] - self.server_metrics[k]) for k in keys]
-        gaps.append(abs(self.client_metrics["n_tokens"] - self.server_metrics["n_tokens"]))
-        return max(gaps)
+        ours, theirs = self.client_metrics, self.server_metrics
+        return max(abs(ours[k] - theirs[k]) for k in REPORT_CSV_COLUMNS[1:])  # all but the id
+
+
+@contextmanager
+def _reading(what: str):
+    """Turn a malformed message part into ProtocolError("bad <what>: ...")."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ProtocolError(f"bad {what}: missing field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ProtocolError(f"bad {what}: {exc}") from None
 
 
 def run_client_session(host: str, port: int) -> Optional[SessionExchange]:
@@ -336,16 +338,10 @@ def run_client_session(host: str, port: int) -> Optional[SessionExchange]:
             raise ProtocolError(f"expected HELLO, got {msg_type}")
         if body.get("done"):
             return None
-        try:
+        with _reading("HELLO utterance"):
             utt = Utterance.from_json(json.dumps(body["utterance"]))
-        except KeyError as exc:
-            raise ProtocolError(f"bad HELLO utterance: missing field {exc}") from None
-        except (TypeError, ValueError) as exc:
-            raise ProtocolError(f"bad HELLO utterance: {exc}") from None
-        try:
+        with _reading("HELLO config"):
             config = config_from_dict(body.get("config"))
-        except ValueError as exc:
-            raise ProtocolError(f"bad HELLO config: {exc}") from None
         chan.session_id = utt.id
         policy = policy_from_spec(config.policy)
         plan = policy.plan(utt)
@@ -360,7 +356,9 @@ def run_client_session(host: str, port: int) -> Optional[SessionExchange]:
                 if msg_type != "SEGMENT":
                     raise ProtocolError(f"expected SEGMENT, got {msg_type}")
                 r += 1
-                if seg["index"] != r:
+                with _reading("SEGMENT"):
+                    index = checked_field(seg, "index", is_int, "an integer")
+                if index != r:
                     raise ProtocolError("segment order violated")
             else:
                 w += 1
@@ -370,6 +368,10 @@ def run_client_session(host: str, port: int) -> Optional[SessionExchange]:
         msg_type, server_metrics = chan.recv()
         if msg_type != "METRICS":
             raise ProtocolError(f"expected METRICS, got {msg_type}")
+        with _reading("METRICS"):
+            metrics_id = metrics_from_dict(server_metrics)[0]
+            if metrics_id != utt.id:
+                raise ValueError(f"id {metrics_id!r} is not this session's {utt.id!r}")
         local = run_session(utt, config, ScriptedPolicy(tuple(plan)))
         return SessionExchange(utt.id, _metrics_body(local), server_metrics)
 

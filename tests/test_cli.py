@@ -146,6 +146,9 @@ def test_eval_rejects_bad_results(tmp_path, capsys):
     extra_field = dict(record, events=[dict(first, bogus=1)])
     float_time = dict(record, events=[dict(first, t_us=1.5)])
     not_object = dict(record, events=[list(first.values())])
+    float_len = dict(record, src_len=15.9)
+    string_quality = dict(record, quality="7")
+    bool_token = dict(record, hypothesis=[True, *record["hypothesis"][1:]])
     cases = {
         "nope.jsonl": (None, "cannot read results"),
         "garbled.jsonl": ("{not json", "line 2"),
@@ -156,6 +159,12 @@ def test_eval_rejects_bad_results(tmp_path, capsys):
         "extra.jsonl": (json.dumps(extra_field), "line 2: event 1 (read) has unknown field 'bogus'"),
         "float.jsonl": (json.dumps(float_time), "line 2: event 1 (read): t_us 1.5 is not an integer"),
         "not-object.jsonl": (json.dumps(not_object), "line 2: event 1 is not an object"),
+        "float-len.jsonl": (json.dumps(float_len), "line 2: src_len 15.9 is not an integer"),
+        "string-quality.jsonl": (
+            json.dumps(string_quality),
+            "line 2: quality '7' is not a finite number",
+        ),
+        "bool-token.jsonl": (json.dumps(bool_token), "line 2: hypothesis [True, "),
     }
     capsys.readouterr()
     for name, (bad_line, message) in cases.items():
@@ -285,6 +294,12 @@ def test_serve_and_connect_round_trip(tmp_path, capsys):
     assert "0 metric mismatches" in capsys.readouterr().out
     server.join(timeout=10)
     assert not server.is_alive()
+    # one formatter writes every CSV: connect's rows are simulate's, byte for byte
+    local_csv = tmp_path / "local.csv"
+    assert main(["simulate", "--corpus", str(corpus), "--k", "2", "--out-csv", str(local_csv)]) == 0
+    *utterance_rows, aggregate = local_csv.read_bytes().splitlines(keepends=True)
+    assert aggregate.startswith(b"aggregate,")
+    assert out_csv.read_bytes() == b"".join(utterance_rows)
 
 
 def test_serve_once_exits_after_invalid_schedule(tmp_path, capsys):
@@ -413,12 +428,40 @@ def _fake_server(reply):
     return listener.getsockname()[1]
 
 
+def _fake_session(utterance, segment, metrics):
+    """A _fake_server reply that plays one session: HELLO with utterance and
+    the default config, segment(r) per READ_REQ, then METRICS metrics."""
+
+    def reply(chan):
+        chan.send("HELLO", {"done": False, "utterance": utterance, "config": {}})
+        r = 0
+        try:
+            while True:
+                msg_type, _ = chan.recv()
+                if msg_type == "READ_REQ":
+                    r += 1
+                    chan.send("SEGMENT", segment(r))
+                elif msg_type == "EOS_TGT":
+                    chan.send("METRICS", metrics)
+                    return
+        except (ProtocolError, OSError):  # the client gave up on this session
+            pass
+
+    return reply
+
+
 def test_connect_errors_are_one_line(tmp_path, capsys):
     with socket.socket() as probe:
         probe.bind(("127.0.0.1", 0))
         closed_port = probe.getsockname()[1]
     utterance = json.loads(read_corpus(str(_gen(tmp_path, n=1)))[0].to_json())
     bad_hello = {"done": False, "utterance": utterance, "config": {"policy": {"kind": "psychic"}}}
+    segment = lambda r: {"index": r, "payload": 0, "arrival_ms": 0.0}
+    metrics = {
+        "id": utterance["id"], "al_ms": 1.0, "ca_al_ms": 1.0, "mean_delay_ms": 1.0,
+        "discont_ms": 0.0, "n_tokens": 1, "quality": 1.0, "remaining": 0,
+    }
+    no_discont = {k: v for k, v in metrics.items() if k != "discont_ms"}
     cases = {
         "refused": (closed_port, "Connection refused"),
         "peer-error": (
@@ -433,6 +476,22 @@ def test_connect_errors_are_one_line(tmp_path, capsys):
         "bad-hello-utterance": (
             _fake_server(lambda chan: chan.send("HELLO", {"utterance": {"id": "u"}, "config": {}})),
             "bad HELLO utterance: missing field 'source'",
+        ),
+        "metrics-missing-key": (
+            _fake_server(_fake_session(utterance, segment, no_discont)),
+            "bad METRICS: missing field 'discont_ms'",
+        ),
+        "metrics-string-value": (
+            _fake_server(_fake_session(utterance, segment, dict(metrics, discont_ms="0"))),
+            "bad METRICS: discont_ms '0' is not a finite number",
+        ),
+        "metrics-other-session": (
+            _fake_server(_fake_session(utterance, segment, dict(metrics, id="someone-else"))),
+            "bad METRICS: id 'someone-else' is not this session's",
+        ),
+        "segment-without-index": (
+            _fake_server(_fake_session(utterance, lambda r: {"payload": 0}, metrics)),
+            "bad SEGMENT: missing field 'index'",
         ),
     }
     for name, (port, message) in cases.items():

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from simulstream.actions import consumed_before_write, wait_k_trace
 from simulstream.alignment import expected_alignment_stable
@@ -7,12 +11,16 @@ from simulstream.latency import (
     COMPUTATION_AWARE,
     IDEAL,
     DelayProfile,
+    REPORT_CSV_COLUMNS,
     LatencyReport,
     MetricError,
     average_lagging,
     build_report,
+    corpus_mean,
     expected_delays,
     latency_loss,
+    metrics_from_dict,
+    metrics_to_dict,
     report_csv_header,
     report_csv_row,
 )
@@ -129,8 +137,8 @@ def test_report_round_trip_and_csv():
     report = build_report(ideal, ca, 42.5, 3)
     assert report.al_ms == pytest.approx(1000.0)
     assert report.mean_delay_ms == pytest.approx(2000.0)
-    assert report.num_output_tokens == 3
-    assert LatencyReport.from_json(report.to_json()) == report
+    assert report.n_tokens == 3
+    assert metrics_from_dict(metrics_to_dict("utt-1", report, 55.5)) == ("utt-1", report, 55.5)
     row = report_csv_row("utt-1", report, 55.5)
     header = report_csv_header()
     assert header.split(",")[0] == "id"
@@ -144,3 +152,69 @@ def test_report_length_mismatch():
     b = DelayProfile((1.0, 2.0), 10.0, COMPUTATION_AWARE)
     with pytest.raises(MetricError):
         build_report(a, b, 0.0, 2)
+
+
+def _old_row(utt_id, al, ca, mean, discont, n_tokens, quality):
+    # the formatter every CSV writer used to spell out for itself
+    return (
+        f"{utt_id},{al:.3f},{ca:.3f},{mean:.3f},{discont:.3f},{n_tokens},{quality:.3f}"
+    )
+
+
+_floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
+_reports = st.builds(LatencyReport, _floats, _floats, _floats, _floats, st.integers(0, 10**6))
+
+
+@given(st.lists(st.tuples(_reports, _floats), min_size=1, max_size=12))
+def test_rows_and_corpus_mean_match_the_old_formatting(rows):
+    for report, quality in rows:
+        assert report_csv_row("u", report, quality) == _old_row("u", *report, quality)
+    reports = [r for r, _ in rows]
+    n = len(rows)
+    old_mean = [sum([getattr(r, name) for r in reports]) / n for name in LatencyReport._fields[:4]]
+    old_quality = sum([q for _, q in rows]) / n
+    old = _old_row("aggregate", *old_mean, sum(r.n_tokens for r in reports), old_quality)
+    assert report_csv_row("aggregate", *corpus_mean(reports, [q for _, q in rows])) == old
+
+
+def test_report_csv_columns_are_the_metrics_keys():
+    assert REPORT_CSV_COLUMNS == (
+        "id", "al_ms", "ca_al_ms", "mean_delay_ms", "discont_ms", "n_tokens", "quality"
+    )
+    report = LatencyReport(1.0, 2.0, 3.0, 0.0, 4)
+    assert list(metrics_to_dict("u", report, 5.0)) == list(REPORT_CSV_COLUMNS)
+    assert report_csv_header() == ",".join(REPORT_CSV_COLUMNS)
+
+
+_GOOD = {"id": "u", "al_ms": 1.0, "ca_al_ms": 2, "mean_delay_ms": 3.0, "discont_ms": 0.0,
+         "n_tokens": 4, "quality": 5.5, "remaining": 0}
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("discont_ms", None, "missing field 'discont_ms'"),
+        ("id", None, "missing field 'id'"),
+        ("discont_ms", "0", "discont_ms '0' is not a finite number"),
+        ("al_ms", True, "al_ms True is not a finite number"),
+        ("ca_al_ms", math.nan, "ca_al_ms nan is not a finite number"),
+        ("quality", -math.inf, "quality -inf is not a finite number"),
+        ("mean_delay_ms", 10**400, "mean_delay_ms 1000"),
+        ("n_tokens", 4.0, "n_tokens 4.0 is not an integer"),
+        ("n_tokens", False, "n_tokens False is not an integer"),
+        ("id", 7, "id 7 is not a string"),
+    ],
+)
+def test_metrics_from_dict_names_the_bad_key(key, value, message):
+    d = dict(_GOOD)
+    if value is None:
+        del d[key]
+    else:
+        d[key] = value
+    with pytest.raises(ValueError, match=message):
+        metrics_from_dict(d)
+
+
+def test_metrics_from_dict_takes_ints_for_numbers_and_ignores_other_keys():
+    utt_id, report, quality = metrics_from_dict(_GOOD)
+    assert (utt_id, report, quality) == ("u", LatencyReport(1.0, 2, 3.0, 0.0, 4), 5.5)

@@ -4,13 +4,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from simulstream.actions import Action, consumed_before_write, decode_trace, trace_from_consumption
+from simulstream.actions import (
+    Action,
+    consumed_before_write,
+    decode_trace,
+    trace_from_consumption,
+    wait_k_trace,
+)
 from simulstream.corpus import SyntheticTaskSpec, Utterance, generate_corpus
 from simulstream.latency import average_lagging
 from simulstream.session import (
     GUESS_BASE,
     ComputeModel,
-    OfflinePolicy,
     PolicySpec,
     ScriptedPolicy,
     SessionConfig,
@@ -28,6 +33,7 @@ from simulstream.session import (
 )
 
 WAIT1 = PolicySpec("waitk", k=1)
+OFFLINE = policy_from_spec(PolicySpec("offline"))
 
 
 def _utt(m=2, n=2, seg=300.0, align=None):
@@ -107,7 +113,7 @@ def test_final_flush_emits_partial_batch():
 
 def test_offline_policy_cuts_lagging_at_first_token():
     utt = _utt(m=3, n=3, seg=1000.0, align=[1, 2, 3])
-    res = run_session(utt, _cfg(), OfflinePolicy())
+    res = run_session(utt, _cfg(), OFFLINE)
     assert res.consumption == (3, 3, 3)
     assert res.full_source_index == 1
     assert average_lagging(res.ideal_profile, 3) == pytest.approx(3000.0)
@@ -134,7 +140,7 @@ def test_synthetic_hypothesis_token_behaviour():
 def test_premature_writes_lower_quality():
     utt = _utt(m=4, n=4, align=[4, 4, 4, 4])  # everything needs the full source
     eager = run_session(utt, _cfg(), WaitKPolicy(1))
-    patient = run_session(utt, _cfg(), OfflinePolicy())
+    patient = run_session(utt, _cfg(), OFFLINE)
     assert patient.quality == pytest.approx(100.0)
     assert eager.quality < patient.quality
     assert all(t >= GUESS_BASE for t in eager.hypothesis[:3])
@@ -294,9 +300,12 @@ def test_vmma_policy_deterministic_per_utterance():
 
 def test_policy_from_spec_kinds():
     assert isinstance(policy_from_spec(PolicySpec("waitk", k=3)), WaitKPolicy)
-    assert isinstance(policy_from_spec(PolicySpec("offline")), OfflinePolicy)
+    for m, n in [(1, 1), (1, 6), (6, 1), (5, 9), (17, 4), (40, 40)]:
+        utt = _utt(m=m, n=n)
+        assert OFFLINE.plan(utt) == wait_k_trace(m, m, n)
     assert isinstance(policy_from_spec(PolicySpec("vmma", lam=0.1)), VmmaPolicy)
     assert PolicySpec("waitk", k=3).label() == "waitk-3"
+    assert PolicySpec("offline").label() == "offline"
     assert PolicySpec("vmma", lam=0.25).label() == "vmma-0.25"
     with pytest.raises(ValueError):
         PolicySpec("waitk", k=0)
