@@ -74,7 +74,6 @@ from .vmma import (
     ChangeTrace,
     ConstantScorer,
     OracleScorer,
-    TableScorer,
     actions_to_alignment,
     actions_to_changes,
     alignment_to_actions,

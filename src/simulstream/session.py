@@ -26,7 +26,9 @@ clock, and the fields are those EVENT_FIELDS names for the kind:
   [start_us, end_us)
 
 Event.payload is a view derived on demand, the fields as a dict by name.
-A results file stores each event as one JSON object with sorted keys.
+A results line stores the log (each event an object with sorted keys),
+the hypothesis and a header: id, lengths, duration and quality. from_json
+folds the per-token fields from the log and checks the header against it.
 
 Segment arrivals and the end of the session are not logged: segment i
 arrives at i * source_duration_us / src_len, and the result stores both.
@@ -397,49 +399,57 @@ class SessionResult:
         return build_report(self.ideal_profile, self.ca_profile, total_gap, self.target_len)
 
     def to_json(self) -> str:
-        """One JSON object with sorted keys; "events" sorts after the two
-        keys in `before` and before those in `after`."""
-        before = {"ca_delays_us": list(self.ca_delays_us), "consumption": list(self.consumption)}
-        after = {
-            "full_source_index": self.full_source_index,
+        """One JSON object with sorted keys: the header, the hypothesis and
+        the event log, from which from_json derives the per-token fields."""
+        rest = {
             "hypothesis": list(self.hypothesis),
             "id": self.utterance_id,
-            "ideal_delays_us": list(self.ideal_delays_us),
             "quality": self.quality,
             "source_duration_us": self.source_duration_us,
             "src_len": self.source_len,
             "tgt_len": self.target_len,
         }
-        return (
-            json.dumps(before, sort_keys=True)[:-1]
-            + ', "events": '
-            + _events_to_json(self.events)
-            + ", "
-            + json.dumps(after, sort_keys=True)[1:]
-        )
+        events = _events_to_json(self.events)
+        return '{"events": ' + events + ", " + json.dumps(rest, sort_keys=True)[1:]
 
     @classmethod
     def from_json(cls, text: str) -> "SessionResult":
-        """A to_json line read back: a missing or mistyped field raises
-        ValueError naming it (for the events, see _events_from_json)."""
+        """A to_json line read back, its per-token fields folded from its
+        events. A missing or mistyped field raises ValueError naming it
+        (for the events, see _events_from_json); an unknown field, or a
+        header that disagrees with the log, SessionError."""
         d = json.loads(text)
-        return cls(
+        if type(d) is not dict:
+            raise SessionError("a results line must be a JSON object")
+        unknown = sorted(set(d) - _STORED_KEYS)
+        if unknown:
+            raise SessionError(f"unknown field {unknown[0]!r}")
+        events = _events_from_json(d["events"])
+        result = cls(
             utterance_id=checked_field(d, "id", lambda v: type(v) is str, "a string"),
             source_len=checked_field(d, "src_len", is_int, "an integer"),
             target_len=checked_field(d, "tgt_len", is_int, "an integer"),
             source_duration_us=checked_field(d, "source_duration_us", is_int, "an integer"),
-            events=_events_from_json(d["events"]),
+            events=events,
             hypothesis=tuple(checked_field(d, "hypothesis", *_INTS)),
-            consumption=tuple(checked_field(d, "consumption", *_INTS)),
-            ideal_delays_us=tuple(checked_field(d, "ideal_delays_us", *_INTS)),
-            ca_delays_us=tuple(checked_field(d, "ca_delays_us", *_INTS)),
-            full_source_index=checked_field(d, "full_source_index", *_INT_OR_NULL),
             quality=checked_field(d, "quality", is_number, "a finite number"),
+            **fold_events(events),
         )
+        reads = [e[0] for e in events if e[2] == "read"]  # read r's t_us is r segments
+        writes = len(result.consumption)
+        for name, stored, logged in (
+            ("src_len", result.source_len, len(reads)),
+            ("source_duration_us", result.source_duration_us, reads[-1] if reads else 0),
+            ("tgt_len", result.target_len, writes),
+            ("hypothesis length", len(result.hypothesis), writes),
+        ):
+            if stored != logged:
+                raise SessionError(f"{name} {stored} disagrees with the event log's {logged}")
+        return result
 
 
+_STORED_KEYS = {"events", "hypothesis", "id", "quality", "source_duration_us", "src_len", "tgt_len"}
 _INTS = (lambda v: type(v) is list and {*map(type, v)} <= {int}, "a list of integers")
-_INT_OR_NULL = (lambda v: v is None or is_int(v), "an integer or null")
 
 
 def run_session(utterance: Utterance, config: SessionConfig, policy: Policy) -> SessionResult:
@@ -571,11 +581,9 @@ def discontinuity_report(events: Sequence[Event]) -> tuple[float, int, float]:
 
 
 def recompute_result_from_events(result: SessionResult) -> SessionResult:
-    """Re-derive delays and metrics purely from the event log.
-
-    Used by the eval command to check stored numbers; ignores the stored
-    delay fields entirely.
-    """
+    """result with its per-token fields folded afresh from its event log,
+    so equal to a result that from_json read. eval calls it by this name,
+    which the benchmark's tracer times and its tests perturb."""
     return replace(result, **fold_events(result.events))
 
 

@@ -109,22 +109,6 @@ class OracleScorer:
 
 
 @dataclass(frozen=True)
-class TableScorer:
-    """Scores read straight out of a (tgt_len, src_len) table."""
-
-    table: tuple[tuple[float, ...], ...]
-
-    @classmethod
-    def from_array(cls, arr) -> "TableScorer":
-        return cls(tuple(tuple(float(x) for x in row) for row in np.asarray(arr)))
-
-    def score(self, tgt_written: int, src_read: int) -> float:
-        i = min(tgt_written, len(self.table) - 1)
-        j = min(max(src_read, 1), len(self.table[0])) - 1
-        return min(max(self.table[i][j], PROB_CLAMP), 1.0 - PROB_CLAMP)
-
-
-@dataclass(frozen=True)
 class ChangeTrace:
     """Flip indicators z*_k over the M+N decision steps, starting from READ."""
 

@@ -18,9 +18,11 @@ sees METRICS identical to its own in-process numbers. `remaining` counts
 the utterances no client has claimed yet; at 0 a client stops without
 another connection, so it never races a `serve --once` that has exited.
 
-A session fails when its client breaks the protocol, sends a schedule
-the engine rejects, stays silent for `READ_TIMEOUT_S` or sends a line
-longer than `MAX_FRAME_BYTES`. The server records `"<id>: <reason>"` in
+A session fails when its client breaks the protocol, sends a WRITE
+whose token is not an integer or whose token_index or src_consumed is
+not the server's count, sends a schedule the engine rejects, stays
+silent for `READ_TIMEOUT_S` or sends a line longer than
+`MAX_FRAME_BYTES`. The server records `"<id>: <reason>"` in
 `failures`, sends ERROR on a best-effort basis, half-closes and discards
 the client's input until it closes too (at most `LINGER_S` and
 `LINGER_MAX_BYTES`), so a client still sending reads the ERROR line
@@ -242,8 +244,14 @@ class EvalServer:
                         },
                     )
                 elif msg_type == "WRITE":
+                    w = len(tokens) + 1
+                    try:  # as _reading does, without its generator: a WRITE comes per token
+                        tokens.append(checked_field(body, "token", is_int, "an integer"))
+                        checked_field(body, "token_index", lambda v: is_int(v) and v == w, f"{w}")
+                        checked_field(body, "src_consumed", lambda v: is_int(v) and v == r, f"{r}")
+                    except ValueError as exc:
+                        raise ProtocolError(f"bad WRITE: {exc}") from None
                     actions.append(Action.WRITE)
-                    tokens.append(int(body["token"]))
                 elif msg_type == "EOS_TGT":
                     break
                 else:

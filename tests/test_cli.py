@@ -149,6 +149,13 @@ def test_eval_rejects_bad_results(tmp_path, capsys):
     float_len = dict(record, src_len=15.9)
     string_quality = dict(record, quality="7")
     bool_token = dict(record, hypothesis=[True, *record["hypothesis"][1:]])
+    # the header must agree with the event log, which alone holds the delays
+    src_len, tgt_len, duration = record["src_len"], record["tgt_len"], record["source_duration_us"]
+    old_keys = dict(record, consumption=[1] * tgt_len)
+    long_target = dict(record, tgt_len=tgt_len + 5)
+    long_source = dict(record, src_len=src_len + 5, hypothesis=record["hypothesis"][:3])
+    long_duration = dict(record, source_duration_us=duration * 3)
+    short_hypothesis = dict(record, hypothesis=record["hypothesis"][:-1])
     cases = {
         "nope.jsonl": (None, "cannot read results"),
         "garbled.jsonl": ("{not json", "line 2"),
@@ -165,6 +172,24 @@ def test_eval_rejects_bad_results(tmp_path, capsys):
             "line 2: quality '7' is not a finite number",
         ),
         "bool-token.jsonl": (json.dumps(bool_token), "line 2: hypothesis [True, "),
+        "old-keys.jsonl": (json.dumps(old_keys), "line 2: unknown field 'consumption'"),
+        "long-target.jsonl": (
+            json.dumps(long_target),
+            f"line 2: tgt_len {tgt_len + 5} disagrees with the event log's {tgt_len}",
+        ),
+        "long-source.jsonl": (
+            json.dumps(long_source),
+            f"line 2: src_len {src_len + 5} disagrees with the event log's {src_len}",
+        ),
+        "long-duration.jsonl": (
+            json.dumps(long_duration),
+            f"line 2: source_duration_us {duration * 3} disagrees with the event log's {duration}",
+        ),
+        "short-hypothesis.jsonl": (
+            json.dumps(short_hypothesis),
+            f"line 2: hypothesis length {tgt_len - 1} disagrees with the event log's {tgt_len}",
+        ),
+        "array.jsonl": (json.dumps([record]), "line 2: a results line must be a JSON object"),
     }
     capsys.readouterr()
     for name, (bad_line, message) in cases.items():

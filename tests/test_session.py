@@ -257,10 +257,6 @@ def test_result_json_round_trip():
         "tgt_len",
         "source_duration_us",
         "hypothesis",
-        "consumption",
-        "ideal_delays_us",
-        "ca_delays_us",
-        "full_source_index",
         "quality",
         "events",
     }

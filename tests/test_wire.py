@@ -242,6 +242,19 @@ def _non_dict_body(chan, utt):
     chan.send("WRITE", 5)
 
 
+def _writes(tokens, first_index=1, src_consumed=1):
+    """A client that reads one segment, then writes tokens as given."""
+
+    def client(chan, utt):
+        chan.send("READ_REQ", {})
+        chan.recv()
+        for w, token in enumerate(tokens(utt["target"]), first_index):
+            chan.send("WRITE", {"token_index": w, "token": token, "src_consumed": src_consumed})
+        chan.send("EOS_TGT", {})
+
+    return client
+
+
 def _silent(chan, utt):
     pass
 
@@ -258,8 +271,18 @@ def _oversized(chan, utt):
         (_non_dict_body, "body is not an object"),
         (_silent, "timed out after 0.2 s"),
         (_oversized, "frame too long"),
+        (
+            _writes(lambda target: [str(target[0]), *(t + 0.5 for t in target[1:])]),
+            "bad WRITE: token '",
+        ),
+        (_writes(lambda target: [t + 0.5 for t in target]), ".5 is not an integer"),
+        (_writes(list, first_index=2), "bad WRITE: token_index 2 is not 1"),
+        (_writes(list, src_consumed=0), "bad WRITE: src_consumed 0 is not 1"),
     ],
-    ids=["invalid-schedule", "non-dict-body", "silent", "oversized"],
+    ids=[
+        "invalid-schedule", "non-dict-body", "silent", "oversized", "string-token",
+        "fractional-token", "skipped-index", "wrong-src-consumed",
+    ],
 )
 def test_bad_client_is_recorded_and_told(misbehave, reason, monkeypatch, capsys):
     monkeypatch.setattr(wire, "READ_TIMEOUT_S", 0.2)
@@ -272,6 +295,7 @@ def test_bad_client_is_recorded_and_told(misbehave, reason, monkeypatch, capsys)
             misbehave(chan, hello["utterance"])
             with pytest.raises(ProtocolError, match=f"peer error: .*{reason}"):
                 chan.recv()
+            chan.close()  # the socket's files hold it open, and the server lingers until EOF
         uid = hello["utterance"]["id"]
         assert len(srv.failures) == 1
         assert srv.failures[0].startswith(f"{uid}: ") and reason in srv.failures[0]
