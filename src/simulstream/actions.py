@@ -28,13 +28,14 @@ class TraceCheck:
 
 
 def validate_trace(actions: Sequence[Action], M: int, N: int) -> TraceCheck:
+    READ = Action.READ  # a local: an Enum member lookup costs more than the loop's test
     reads = writes = 0
     if not actions:
         return TraceCheck(False, "empty trace")
-    if actions[0] is not Action.READ:
+    if actions[0] is not READ:
         return TraceCheck(False, "trace must begin with READ")
     for t, a in enumerate(actions):
-        if a is Action.READ:
+        if a is READ:
             reads += 1
             if reads > M:
                 return TraceCheck(False, f"read past source end at step {t}")
@@ -77,17 +78,18 @@ def wait_k_trace(k: int, M: int, N: int) -> list[Action]:
     """
     if M < 1 or N < 1:
         raise ValueError("M and N must be >= 1")
+    READ, WRITE = Action.READ, Action.WRITE
     trace = []
     reads = min(k, M)
-    trace.extend([Action.READ] * reads)
+    trace.extend([READ] * reads)
     writes = 0
     while writes < N:
-        trace.append(Action.WRITE)
+        trace.append(WRITE)
         writes += 1
         if writes < N and reads < M:
-            trace.append(Action.READ)
+            trace.append(READ)
             reads += 1
-    trace.extend([Action.READ] * (M - reads))
+    trace.extend([READ] * (M - reads))
     return trace
 
 

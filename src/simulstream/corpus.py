@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
+
+from .latency import checked_field, is_number
 
 DEFAULT_SEGMENT_MS = 280.0
 
@@ -75,16 +75,26 @@ class Utterance:
 
     @classmethod
     def from_json(cls, line: str) -> "Utterance":
+        """An utterance read back from to_json. Each field must have its
+        own type: id a string, source, target and oracle_alignment lists
+        of integers, src_tok_ms a finite number; a missing or mistyped
+        field raises ValueError naming it."""
         d = json.loads(line)
         if not isinstance(d, dict):
             raise CorpusConfigError("utterance is not a JSON object")
         return cls(
-            id=d["id"],
-            source_tokens=tuple(int(t) for t in d["source"]),
-            target_tokens=tuple(int(t) for t in d["target"]),
-            source_token_duration_ms=float(d["src_tok_ms"]),
-            oracle_alignment=tuple(int(a) for a in d["oracle_alignment"]),
+            id=checked_field(d, "id", lambda v: type(v) is str, "a string"),
+            source_tokens=tuple(checked_field(d, "source", *INTS)),
+            target_tokens=tuple(checked_field(d, "target", *INTS)),
+            source_token_duration_ms=float(
+                checked_field(d, "src_tok_ms", is_number, "a finite number")
+            ),
+            oracle_alignment=tuple(checked_field(d, "oracle_alignment", *INTS)),
         )
+
+
+# the rule for a stored token list: a JSON list of integers, none a bool
+INTS = (lambda v: type(v) is list and {*map(type, v)} <= {int}, "a list of integers")
 
 
 @dataclass(frozen=True)
@@ -195,22 +205,31 @@ def read_corpus(path) -> list[Utterance]:
 _MAX_ORDER = 4
 
 
-def _ngram_counts(tokens: Sequence[int]) -> Counter:
-    """Counts of every n-gram of orders 1.._MAX_ORDER, each a tuple of n tokens."""
-    orders = range(1, _MAX_ORDER + 1)
-    return Counter(chain.from_iterable(zip(*(tokens[k:] for k in range(n))) for n in orders))
+def _ngrams(tokens: Sequence[int], order: int):
+    """The n-grams of one order in tokens; a unigram is the token itself."""
+    return tokens if order == 1 else zip(*(tokens[k:] for k in range(order)))
 
 
 def _match_totals(hypothesis: Sequence[int], reference: Sequence[int]):
-    """Per-order (matched, total) clipped n-gram counts for one pair."""
-    ref_counts = _ngram_counts(reference)
-    matched = [0] * _MAX_ORDER
-    for gram, count in _ngram_counts(hypothesis).items():
-        ref = ref_counts.get(gram)
-        if ref:
-            matched[len(gram) - 1] += min(count, ref)
+    """Per-order (matched, total) clipped n-gram counts for one pair.
+
+    Per order, a plain dict counts the reference's n-grams; each n-gram of
+    the hypothesis matches while its count lasts, so a match is clipped at
+    the reference count."""
     n = len(hypothesis)
-    return [(matched[order - 1], max(n - order + 1, 0)) for order in range(1, _MAX_ORDER + 1)]
+    stats = []
+    for order in range(1, _MAX_ORDER + 1):
+        left: dict = {}  # reference count of each n-gram, less the matches so far
+        for gram in _ngrams(reference, order):
+            left[gram] = left.get(gram, 0) + 1
+        matched = 0
+        for gram in _ngrams(hypothesis, order):
+            count = left.get(gram)
+            if count:
+                left[gram] = count - 1
+                matched += 1
+        stats.append((matched, max(n - order + 1, 0)))
+    return stats
 
 
 def _bleu_from_stats(stats, hyp_len: int, ref_len: int) -> float:

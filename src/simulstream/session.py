@@ -49,7 +49,7 @@ from operator import itemgetter
 from typing import Literal, Optional, Protocol, Sequence, Union, get_args, get_origin, get_type_hints
 
 from .actions import Action, validate_trace, wait_k_trace
-from .corpus import Utterance, quality_score
+from .corpus import INTS, Utterance, quality_score
 from .latency import COMPUTATION_AWARE, IDEAL, DelayProfile, LatencyReport, build_report
 from .latency import checked_field, is_int, is_number
 from .vmma import ConstantScorer, OracleScorer, change_to_actions, sample_change_trace
@@ -379,7 +379,7 @@ class SessionResult:
     @property
     def ideal_profile(self) -> DelayProfile:
         return DelayProfile(
-            delays_ms=tuple(d / 1000 for d in self.ideal_delays_us),
+            delays_ms=tuple([d / 1000 for d in self.ideal_delays_us]),
             source_duration_ms=self.source_duration_us / 1000,
             variant=IDEAL,
             full_source_index=self.full_source_index,
@@ -388,7 +388,7 @@ class SessionResult:
     @property
     def ca_profile(self) -> DelayProfile:
         return DelayProfile(
-            delays_ms=tuple(d / 1000 for d in self.ca_delays_us),
+            delays_ms=tuple([d / 1000 for d in self.ca_delays_us]),
             source_duration_ms=self.source_duration_us / 1000,
             variant=COMPUTATION_AWARE,
             full_source_index=self.full_source_index,
@@ -424,14 +424,14 @@ class SessionResult:
         unknown = sorted(set(d) - _STORED_KEYS)
         if unknown:
             raise SessionError(f"unknown field {unknown[0]!r}")
-        events = _events_from_json(d["events"])
+        events = _events_from_json(checked_field(d, "events", lambda v: type(v) is list, "a list"))
         result = cls(
             utterance_id=checked_field(d, "id", lambda v: type(v) is str, "a string"),
             source_len=checked_field(d, "src_len", is_int, "an integer"),
             target_len=checked_field(d, "tgt_len", is_int, "an integer"),
             source_duration_us=checked_field(d, "source_duration_us", is_int, "an integer"),
             events=events,
-            hypothesis=tuple(checked_field(d, "hypothesis", *_INTS)),
+            hypothesis=tuple(checked_field(d, "hypothesis", *INTS)),
             quality=checked_field(d, "quality", is_number, "a finite number"),
             **fold_events(events),
         )
@@ -449,7 +449,6 @@ class SessionResult:
 
 
 _STORED_KEYS = {"events", "hypothesis", "id", "quality", "source_duration_us", "src_len", "tgt_len"}
-_INTS = (lambda v: type(v) is list and {*map(type, v)} <= {int}, "a list of integers")
 
 
 def run_session(utterance: Utterance, config: SessionConfig, policy: Policy) -> SessionResult:
@@ -467,51 +466,54 @@ def run_session(utterance: Utterance, config: SessionConfig, policy: Policy) -> 
     l = config.emission_rate_l
     dec_us = _us(config.compute.per_decision_ms)
     per_unit_us = _us(config.compute.per_unit_ms)
+    call_us, span_us = l * per_unit_us, l * unit_us  # compute and playback of a full call
     measured = config.compute.kind == "measured_wallclock"
     if measured:
-        import time
+        from time import perf_counter
 
-        last_perf = time.perf_counter()
+        last_perf = perf_counter()
 
     t_ideal = 0
     t_ca = 0
     r = w = 0
     events: list[Event] = []
+    log = events.append
+    READ = Action.READ
     buffered = 0  # units written but not yet synthesized
     audio_end = 0  # end of the last playback span
     hypothesis: list[int] = []
 
-    def charge_decision() -> int:
-        nonlocal last_perf
-        if measured:
-            now = time.perf_counter()
-            delta = _us((now - last_perf) * 1000)
-            last_perf = now
-            return delta
-        return dec_us
-
     for a in trace:
-        if a is Action.READ:
+        if measured:  # each decision costs the wall time since the last one
+            now = perf_counter()
+            dec_us = _us((now - last_perf) * 1000)
+            last_perf = now
+        if a is READ:
             r += 1
             arr = r * seg_us
-            t_ideal = max(t_ideal, arr)
-            t_ca = max(t_ca, arr) + charge_decision()
-            events.append(Event((t_ideal, t_ca, "read", r)))
+            if t_ideal < arr:
+                t_ideal = arr
+            t_ca = (t_ca if t_ca > arr else arr) + dec_us
+            log(Event((t_ideal, t_ca, "read", r)))
         else:
             w += 1
-            t_ca += charge_decision()
+            t_ca += dec_us
             hypothesis.append(synthetic_hypothesis_token(utterance, w, r))
-            events.append(Event((t_ideal, t_ca, "write", w, upt, r)))
+            log(Event((t_ideal, t_ca, "write", w, upt, r)))
             buffered += upt
             # a vocoder call per emission_rate_l units; after the last
             # token nothing further can arrive, so one more emits the tail
-            while buffered >= l or (buffered and w == N):
-                n_units = min(buffered, l)
-                buffered -= n_units
-                t_ca += n_units * per_unit_us
-                start = max(t_ca, audio_end)
-                audio_end = start + n_units * unit_us
-                events.append(Event((t_ideal, t_ca, "vocoder_call", n_units, start, audio_end)))
+            while buffered >= l:
+                buffered -= l
+                t_ca += call_us
+                start = t_ca if t_ca > audio_end else audio_end
+                audio_end = start + span_us
+                log(Event((t_ideal, t_ca, "vocoder_call", l, start, audio_end)))
+            if buffered and w == N:
+                t_ca += buffered * per_unit_us
+                start = t_ca if t_ca > audio_end else audio_end
+                audio_end = start + buffered * unit_us
+                log(Event((t_ideal, t_ca, "vocoder_call", buffered, start, audio_end)))
 
     return SessionResult(
         utterance_id=utterance.id,
@@ -539,24 +541,27 @@ def fold_events(events: Sequence[Event]) -> dict:
     ideal: list[int] = []
     ca: list[int] = []
     written = voiced = 0
+    tokens = done = 0  # tokens written; tokens synthesized, so done is the next one's index
     full_source_index = None
     for e in events:  # rows: (t_us, wall_us, kind, *EVENT_FIELDS[kind])
         kind = e[2]
-        if kind == "write":  # token, n_units, src_consumed
+        if kind == "vocoder_call":  # n_units, start_us, end_us; the commonest kind
+            voiced += e[3]
+            while done < tokens and token_ends[done] <= voiced:
+                done += 1
+                if full_source_index is None:
+                    full_source_index = done
+                ideal.append(e[0])
+                ca.append(e[1])
+        elif kind == "write":  # token, n_units, src_consumed
             consumption.append(e[5])
             written += e[4]
             token_ends.append(written)
-        elif kind == "vocoder_call":  # n_units, start_us, end_us
-            voiced += e[3]
-            while len(ideal) < len(token_ends) and token_ends[len(ideal)] <= voiced:
-                if full_source_index is None:
-                    full_source_index = len(ideal) + 1
-                ideal.append(e[0])
-                ca.append(e[1])
+            tokens += 1
         else:  # read
             full_source_index = None
-    if len(ideal) < len(token_ends):
-        raise SessionError(f"event log leaves {len(token_ends) - len(ideal)} tokens unsynthesized")
+    if done < tokens:
+        raise SessionError(f"event log leaves {tokens - done} tokens unsynthesized")
     return {
         "consumption": tuple(consumption),
         "ideal_delays_us": tuple(ideal),
@@ -567,16 +572,17 @@ def fold_events(events: Sequence[Event]) -> dict:
 
 def discontinuity_report(events: Sequence[Event]) -> tuple[float, int, float]:
     """(total_gap_ms, gap_count, max_gap_ms) between emitted audio spans."""
-    spans = [(e[4], e[5]) for e in events if e[2] == "vocoder_call"]  # start_us, end_us
-    total = 0
-    count = 0
-    biggest = 0
-    for (_, prev_end), (start, _) in zip(spans, spans[1:]):
-        gap = start - prev_end
-        if gap > 0:
-            total += gap
-            count += 1
-            biggest = max(biggest, gap)
+    total = count = biggest = 0
+    prev_end = None  # end_us of the last vocoder_call so far
+    for e in events:
+        if e[2] == "vocoder_call":  # n_units, start_us, end_us
+            if prev_end is not None and e[4] > prev_end:
+                gap = e[4] - prev_end
+                total += gap
+                count += 1
+                if gap > biggest:
+                    biggest = gap
+            prev_end = e[5]
     return total / 1000, count, biggest / 1000
 
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Iterator, Protocol, Sequence
 
 import numpy as np
@@ -134,16 +135,11 @@ class ChangeTrace:
 
 def change_to_actions(trace: ChangeTrace) -> list[Action]:
     """Unfold flips into actions; initial action is READ."""
-    cur = Action.READ
-    out = []
-    first = True
-    for z in trace.changes:
-        if z and not first:
-            cur = Action.WRITE if cur is Action.READ else Action.READ
-        elif z and first:
-            raise InvalidTraceError("cannot flip before the first read")
-        out.append(cur)
-        first = False
+    if trace.changes and trace.changes[0]:
+        raise InvalidTraceError("cannot flip before the first read")
+    # the action after k steps is READ after an even number of flips, else WRITE
+    actions = (Action.READ, Action.WRITE)
+    out = [actions[flips & 1] for flips in accumulate(map(bool, trace.changes))]
     check = validate_trace(out, trace.src_len, trace.tgt_len)
     if not check.ok:
         raise InvalidTraceError(check.reason)
@@ -229,38 +225,38 @@ def sample_change_trace(
     immediately follow another (or precede the first read).
     Boundary-forced steps bypass sampling entirely and reset the gap
     when they flip the action.
+
+    Each free step takes one uniform, in step order; forced steps take
+    none. The uniforms are fetched from the seeded generator in bulk
+    (_uniforms), which yields the values one rng.random() call per free
+    step would give.
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
-    rng = np.random.default_rng(rng_seed)
     M, N = src_len, tgt_len
+    uniforms = _uniforms(np.random.default_rng(rng_seed), M + N)
+    score = scorer.score
     w = r = 0
-    cur = Action.READ
+    writing = False  # the current action: READ until the first flip
     k_last = 1
     changes, forced = [], []
     for k in range(1, M + N + 1):
-        if r == M and w < N:
-            # no source left: every remaining action is WRITE
-            z, is_forced = int(cur is Action.READ), True
-        elif w == N:
-            z, is_forced = int(cur is Action.WRITE), True
-        elif r == 0:
-            z, is_forced = 0, True
-        else:
-            f = scorer.score(w, r)
-            toward_write = f if cur is Action.READ else 1.0 - f
-            p_star = change_probability(lam, k - k_last, toward_write)
-            z, is_forced = int(rng.random() < p_star), False
+        if 0 < r < M and w < N:  # a free step
+            f = score(w, r)
+            z = next(uniforms) < change_probability(lam, k - k_last, 1.0 - f if writing else f)
+            forced.append(False)
+        else:  # forced: READ first, WRITE once the source is out, READ once the target is
+            z = writing if w == N else (r == M and not writing)
+            forced.append(True)
         if z:
-            cur = Action.WRITE if cur is Action.READ else Action.READ
+            writing = not writing
             k_last = k
         changes.append(z)
-        forced.append(is_forced)
-        if cur is Action.READ:
-            r += 1
-        else:
+        if writing:
             w += 1
-    return ChangeTrace(tuple(changes), tuple(forced), M, N)
+        else:
+            r += 1
+    return ChangeTrace(tuple(map(int, changes)), tuple(forced), M, N)
 
 
 def sample_trace_from_table(

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import socket
 import threading
@@ -190,6 +191,15 @@ def test_eval_rejects_bad_results(tmp_path, capsys):
             f"line 2: hypothesis length {tgt_len - 1} disagrees with the event log's {tgt_len}",
         ),
         "array.jsonl": (json.dumps([record]), "line 2: a results line must be a JSON object"),
+        "int-events.jsonl": (json.dumps(dict(record, events=5)), "line 2: events 5 is not a list"),
+        "str-events.jsonl": (
+            json.dumps(dict(record, events="ab")),
+            "line 2: events 'ab' is not a list",
+        ),
+        "dict-events.jsonl": (
+            json.dumps(dict(record, events={})),
+            "line 2: events {} is not a list",
+        ),
     }
     capsys.readouterr()
     for name, (bad_line, message) in cases.items():
@@ -214,6 +224,19 @@ def test_sweep_sorts_grid_and_writes_rows(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "param,quality,al_ms,ca_al_ms"
     assert [row.split(",")[0] for row in lines[1:]] == ["1", "3", "5"]
+
+
+def test_vmma_sweep_bytes_pinned(tmp_path):
+    # pins the sampler's RNG stream end to end: every uniform it draws, in order
+    corpus = _gen(tmp_path, n=40, seed=11, kind="random-monotone", noise_rate=0.4)
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--corpus", str(corpus), "--family", "vmma", "--grid", "0.2,0.5,1.0"]
+    assert main([*argv, "--scorer", "oracle", "--out", str(out)]) == 0
+    data = out.read_bytes()
+    assert len(data) == 110
+    assert hashlib.sha256(data).hexdigest() == (
+        "672800ae226bf1c62efc1b7e3956cc3bda11cc75bb146c4153d22d145ceafb0e"
+    )
 
 
 def test_sweep_rejects_bad_grid(tmp_path):
@@ -413,14 +436,22 @@ _NOT_EMPTY = "line 3: source and target must be non-empty"
     [
         (dict(_GOOD_UTT, source=5), "line 3: "),
         ([1, 2], "line 3: utterance is not a JSON object"),
-        (dict(_GOOD_UTT, source=["a"]), "line 3: invalid literal"),
+        (dict(_GOOD_UTT, source=["a"]), "line 3: source ['a'] is not a list of integers"),
         (dict(_GOOD_UTT, src_tok_ms=None), "line 3: "),
         (dict(_GOOD_UTT, source=[], oracle_alignment=[]), _NOT_EMPTY),
         (dict(_GOOD_UTT, target=[], oracle_alignment=[]), _NOT_EMPTY),
-        (dict(_GOOD_UTT, src_tok_ms=float("nan")), "line 3: source_token_duration_ms"),
+        (dict(_GOOD_UTT, src_tok_ms=float("nan")), "line 3: src_tok_ms nan is not a finite number"),
+        # each field takes its own type; none is coerced
+        (dict(_GOOD_UTT, source=[1.9, True]), "line 3: source [1.9, True] is not a list of"),
+        (dict(_GOOD_UTT, oracle_alignment=[1.5, "2"]), "line 3: oracle_alignment [1.5, '2']"),
+        (dict(_GOOD_UTT, src_tok_ms="100"), "line 3: src_tok_ms '100' is not a finite number"),
+        (dict(_GOOD_UTT, id=7), "line 3: id 7 is not a string"),
+        ({k: v for k, v in _GOOD_UTT.items() if k != "target"}, "line 3: missing field 'target'"),
     ],
     ids=[
-        "source-int", "array", "source-str", "duration-null", "no-source", "no-target", "duration-nan"
+        "source-int", "array", "source-str", "duration-null", "no-source", "no-target",
+        "duration-nan", "source-float-bool", "alignment-float-str", "duration-str", "id-int",
+        "no-target-field",
     ],
 )
 def test_malformed_corpus_line_is_one_error(tmp_path, capsys, command, bad, message):
@@ -481,6 +512,7 @@ def test_connect_errors_are_one_line(tmp_path, capsys):
         closed_port = probe.getsockname()[1]
     utterance = json.loads(read_corpus(str(_gen(tmp_path, n=1)))[0].to_json())
     bad_hello = {"done": False, "utterance": utterance, "config": {"policy": {"kind": "psychic"}}}
+    float_token = dict(bad_hello, utterance=dict(utterance, source=[1.5, *utterance["source"][1:]]))
     segment = lambda r: {"index": r, "payload": 0, "arrival_ms": 0.0}
     metrics = {
         "id": utterance["id"], "al_ms": 1.0, "ca_al_ms": 1.0, "mean_delay_ms": 1.0,
@@ -501,6 +533,10 @@ def test_connect_errors_are_one_line(tmp_path, capsys):
         "bad-hello-utterance": (
             _fake_server(lambda chan: chan.send("HELLO", {"utterance": {"id": "u"}, "config": {}})),
             "bad HELLO utterance: missing field 'source'",
+        ),
+        "hello-float-token": (
+            _fake_server(lambda chan: chan.send("HELLO", dict(float_token, config={}))),
+            "bad HELLO utterance: source [1.5, ",
         ),
         "metrics-missing-key": (
             _fake_server(_fake_session(utterance, segment, no_discont)),

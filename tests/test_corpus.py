@@ -139,6 +139,54 @@ def test_utterance_validation():
         SyntheticTaskSpec(10, (2, 4), "zigzag")
 
 
+_GOOD_LINE = {
+    "id": "u",
+    "source": [4, 5, 6],
+    "target": [5, 6],
+    "oracle_alignment": [2, 3],
+    "src_tok_ms": 280.0,
+}
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"id": 7}, "id 7 is not a string"),
+        ({"source": [1.9, 3, 6]}, "source [1.9, 3, 6] is not a list of integers"),
+        ({"source": [4, "3", 6]}, "source [4, '3', 6] is not a list of integers"),
+        ({"source": [4, True, 6]}, "source [4, True, 6] is not a list of integers"),
+        ({"target": "56"}, "target '56' is not a list of integers"),
+        ({"oracle_alignment": [1.5, 3]}, "oracle_alignment [1.5, 3] is not a list of integers"),
+        ({"oracle_alignment": {"0": 2}}, "oracle_alignment {'0': 2} is not a list of integers"),
+        ({"src_tok_ms": "280"}, "src_tok_ms '280' is not a finite number"),
+        ({"src_tok_ms": True}, "src_tok_ms True is not a finite number"),
+        ({"src_tok_ms": math.inf}, "src_tok_ms inf is not a finite number"),
+        ({"src_tok_ms": None}, "src_tok_ms None is not a finite number"),
+    ],
+)
+def test_utterance_from_json_takes_each_field_with_its_own_type(change, message):
+    with pytest.raises(ValueError) as exc:
+        Utterance.from_json(json.dumps(dict(_GOOD_LINE, **change)))
+    assert str(exc.value) == message
+
+
+def test_utterance_from_json_reads_an_integer_duration_as_float():
+    utt = Utterance.from_json(json.dumps(dict(_GOOD_LINE, src_tok_ms=280)))
+    assert utt == Utterance.from_json(json.dumps(_GOOD_LINE))
+    assert type(utt.source_token_duration_ms) is float
+
+
+def test_read_corpus_names_the_line_of_a_mistyped_field(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    bad = dict(_GOOD_LINE, source=[1.9, "3", True], oracle_alignment=[1.5, "3"], src_tok_ms="280")
+    path.write_text(json.dumps(_GOOD_LINE) + "\n" + json.dumps(bad) + "\n")
+    with pytest.raises(CorpusConfigError, match=r"^line 2: source \[1\.9, '3', True\] is not"):
+        read_corpus(path)
+    path.write_text(json.dumps(dict(_GOOD_LINE, id=7)) + "\n")
+    with pytest.raises(CorpusConfigError, match=r"^line 1: id 7 is not a string$"):
+        read_corpus(path)
+
+
 def _match_totals_by_order(hypothesis, reference):
     """The per-order n-gram statistics as first written: one Counter of
     slices per side and order."""

@@ -63,6 +63,60 @@ def test_sampling_is_deterministic():
     assert a != c
 
 
+def _scalar_sample_change_trace(scorer, lam, src_len, tgt_len, rng_seed):
+    """sample_change_trace as first written: one rng.random() call per
+    free step, the current action an Action."""
+    rng = np.random.default_rng(rng_seed)
+    M, N = src_len, tgt_len
+    w = r = 0
+    cur = Action.READ
+    k_last = 1
+    changes, forced = [], []
+    for k in range(1, M + N + 1):
+        if r == M and w < N:
+            z, is_forced = int(cur is Action.READ), True
+        elif w == N:
+            z, is_forced = int(cur is Action.WRITE), True
+        elif r == 0:
+            z, is_forced = 0, True
+        else:
+            f = scorer.score(w, r)
+            toward_write = f if cur is Action.READ else 1.0 - f
+            p_star = change_probability(lam, k - k_last, toward_write)
+            z, is_forced = int(rng.random() < p_star), False
+        if z:
+            cur = Action.WRITE if cur is Action.READ else Action.READ
+            k_last = k
+        changes.append(z)
+        forced.append(is_forced)
+        if cur is Action.READ:
+            r += 1
+        else:
+            w += 1
+    return ChangeTrace(tuple(changes), tuple(forced), M, N)
+
+
+@st.composite
+def _sampler_cases(draw):
+    m, n = draw(st.integers(1, 20)), draw(st.integers(1, 20))
+    if draw(st.booleans()):
+        scorer = ConstantScorer(draw(st.floats(0.01, 0.99)))
+    else:
+        alignment = sorted(draw(st.lists(st.integers(1, m), min_size=n, max_size=n)))
+        scorer = OracleScorer(tuple(alignment))
+    lam = draw(st.floats(0.05, 5.0))
+    return scorer, lam, m, n, draw(st.integers(0, 2**63 - 1))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_sampler_cases())
+def test_change_trace_equals_scalar_draw_sampler(case):
+    # the bulk-fetched uniforms are the scalar draws, one per free step in step order
+    trace = sample_change_trace(*case)
+    assert trace == _scalar_sample_change_trace(*case)
+    assert {*map(type, trace.changes)} <= {int}
+
+
 def test_near_zero_scorer_changes_only_at_boundary():
     trace = sample_change_trace(ConstantScorer(1e-9), 0.5, 5, 4, 0)
     actions = change_to_actions(trace)
