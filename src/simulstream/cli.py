@@ -22,8 +22,9 @@ import logging
 import os
 import sys
 import threading
+from contextlib import ExitStack
 from dataclasses import replace
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .corpus import (
     CorpusConfigError,
@@ -108,6 +109,14 @@ def _read_corpus_or_die(path: str):
     return corpus
 
 
+def _open_out(path: str):
+    """path opened for writing; if it cannot be, one error line and exit 2."""
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}")
+
+
 def cmd_gen_corpus(args) -> int:
     try:
         spec = SyntheticTaskSpec(
@@ -121,43 +130,54 @@ def cmd_gen_corpus(args) -> int:
         corpus = generate_corpus(spec, args.n, args.seed)
     except CorpusConfigError as exc:
         raise CliError(str(exc))
-    write_corpus(corpus, args.out)
+    try:
+        write_corpus(corpus, args.out)
+    except OSError as exc:
+        raise CliError(f"cannot write {args.out}: {exc}")
     print(f"wrote {len(corpus)} utterances to {args.out}")
     return 0
 
 
-def _run_corpus(corpus, config: SessionConfig, policy) -> tuple[list[SessionResult], list[str]]:
-    """Every utterance through one policy: (results, "<id>: <reason>" failures)."""
-    results = []
-    failures = []
+def _run_corpus(corpus, config: SessionConfig, policy, failures) -> Iterator[SessionResult]:
+    """Every utterance through one policy, each result yielded as its
+    session ends; a session that raises adds "<id>: <reason>" to failures."""
     for utt in corpus:
         try:
-            results.append(run_session(utt, config, policy))
+            result = run_session(utt, config, policy)
         except Exception as exc:  # keep going; report at the end
             failures.append(f"{utt.id}: {exc}")
-    return results, failures
+        else:
+            yield result
 
 
 def cmd_simulate(args) -> int:
     corpus = _read_corpus_or_die(args.corpus)
     config = build_config(args)
-    results, failures = _run_corpus(corpus, config, policy_from_spec(config.policy))
-    if args.out_results:
-        with open(args.out_results, "w", encoding="utf-8") as f:
-            for r in results:
-                f.write(r.to_json() + "\n")
-    if args.out_csv:
-        with open(args.out_csv, "w", encoding="utf-8") as f:
-            f.write(report_csv_header() + "\n")
-            reports = [r.report() for r in results]
-            for r, report in zip(results, reports):
-                f.write(report_csv_row(r.utterance_id, report, r.quality) + "\n")
-            if results:
-                mean = corpus_mean(reports, [r.quality for r in results])
-                f.write(report_csv_row("aggregate", *mean) + "\n")
+    policy = policy_from_spec(config.policy)
+    failures = []
+    scores = []  # (report, quality) per session, for the aggregate row
+    if args.out_results and args.out_csv:
+        if os.path.realpath(args.out_results) == os.path.realpath(args.out_csv):
+            # both stay open while sessions run, so their lines would interleave
+            raise CliError(f"--out-results and --out-csv are the same file {args.out_csv}")
+    with ExitStack() as stack:  # both outputs open before the first session runs
+        jsonl = stack.enter_context(_open_out(args.out_results)) if args.out_results else None
+        csv = stack.enter_context(_open_out(args.out_csv)) if args.out_csv else None
+        if csv:
+            csv.write(report_csv_header() + "\n")
+        for r in _run_corpus(corpus, config, policy, failures):
+            if jsonl:
+                jsonl.write(r.to_json() + "\n")
+            if csv:
+                report = r.report()
+                csv.write(report_csv_row(r.utterance_id, report, r.quality) + "\n")
+                scores.append((report, r.quality))
+        if scores:
+            csv.write(report_csv_row("aggregate", *corpus_mean(*zip(*scores))) + "\n")
     for line in failures:
         print(f"failed: {line}", file=sys.stderr)
-    print(f"simulated {len(results)}/{len(corpus)} utterances with {config.policy.label()}")
+    done = len(corpus) - len(failures)
+    print(f"simulated {done}/{len(corpus)} utterances with {config.policy.label()}")
     return 1 if failures else 0
 
 
@@ -172,22 +192,25 @@ def cmd_sweep(args) -> int:
         raise CliError(f"bad grid: {exc}")
     if not grid:
         raise CliError("grid is empty")
-    rows = []
+    rows = 0
     failures = []
-    for value, spec in zip(grid, specs):
-        results, failed = _run_corpus(corpus, config, policy_from_spec(spec))
-        failures += [f"{args.family}={value}: {line}" for line in failed]
-        if failed:
-            continue  # a mean over part of the corpus would not compare with the other rows
-        mean, quality = corpus_mean([r.report() for r in results], [r.quality for r in results])
-        rows.append(f"{value},{quality:.3f},{mean.al_ms:.3f},{mean.ca_al_ms:.3f}")
-    with open(args.out, "w", encoding="utf-8") as f:
+    with _open_out(args.out) as f:
         f.write("param,quality,al_ms,ca_al_ms\n")
-        for row in rows:
-            f.write(row + "\n")
+        for value, spec in zip(grid, specs):
+            failed = []
+            scores = [
+                (r.report(), r.quality)
+                for r in _run_corpus(corpus, config, policy_from_spec(spec), failed)
+            ]
+            failures += [f"{args.family}={value}: {line}" for line in failed]
+            if failed:
+                continue  # a mean over part of the corpus would not compare with the other rows
+            mean, quality = corpus_mean(*zip(*scores))
+            f.write(f"{value},{quality:.3f},{mean.al_ms:.3f},{mean.ca_al_ms:.3f}\n")
+            rows += 1
     for line in failures:
         print(f"failed: {line}", file=sys.stderr)
-    print(f"swept {len(rows)} grid points into {args.out}")
+    print(f"swept {rows} grid points into {args.out}")
     return 1 if failures else 0
 
 
@@ -219,7 +242,7 @@ def cmd_eval(args) -> int:
                 rows.append(report_csv_row(fresh.utterance_id, report, quality))
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read results {args.results}: {exc}")
-    with open(args.out, "w", encoding="utf-8") as f:
+    with _open_out(args.out) as f:
         f.write(report_csv_header() + "\n")
         for row in rows:
             f.write(row + "\n")
@@ -264,16 +287,18 @@ def cmd_serve(args) -> int:
 
 
 def cmd_connect(args) -> int:
-    try:
-        exchanges = wire.connect(args.host, args.port, args.max_sessions)
-    except (OSError, wire.ProtocolError) as exc:
-        raise CliError(f"connect {args.host}:{args.port}: {exc}")
-    mismatched = [e for e in exchanges if e.max_field_gap() >= 1.0]
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write(report_csv_header() + "\n")
+    with ExitStack() as stack:
+        # opened first: a path that cannot be written must not cost the server its sessions
+        out = stack.enter_context(_open_out(args.out)) if args.out else None
+        try:
+            exchanges = wire.connect(args.host, args.port, args.max_sessions)
+        except (OSError, wire.ProtocolError) as exc:
+            raise CliError(f"connect {args.host}:{args.port}: {exc}")
+        if out:
+            out.write(report_csv_header() + "\n")
             for e in exchanges:  # run_client_session has checked each one
-                f.write(report_csv_row(*metrics_from_dict(e.server_metrics)) + "\n")
+                out.write(report_csv_row(*metrics_from_dict(e.server_metrics)) + "\n")
+    mismatched = [e for e in exchanges if e.max_field_gap() >= 1.0]
     print(f"completed {len(exchanges)} sessions; {len(mismatched)} metric mismatches")
     return 1 if mismatched else 0
 

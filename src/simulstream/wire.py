@@ -140,8 +140,9 @@ def _metrics_body(result: SessionResult) -> dict:
 class EvalServer:
     """Serves one session per connection, in corpus order.
 
-    Every claimed utterance ends in `results` or `failures`; `drained` is
-    set once the last one has been settled and its connection closed."""
+    Every claimed utterance ends in a METRICS sent or in one `failures`
+    entry; `drained` is set once the last one has been settled and its
+    connection closed."""
 
     def __init__(
         self,
@@ -154,7 +155,6 @@ class EvalServer:
         self.corpus = corpus
         self.config = config
         self.fast_forward = fast_forward
-        self.results: dict[str, SessionResult] = {}
         self.failures: list[str] = []
         self.drained = threading.Event()
         if not corpus:
@@ -219,6 +219,7 @@ class EvalServer:
                 },
             )
             seg_ms = self.config.pre_decision_ms or utt.source_token_duration_ms
+            READ, WRITE = Action.READ, Action.WRITE  # locals: an Enum member lookup costs more
             actions: list[Action] = []
             tokens: list[int] = []
             r = 0
@@ -230,7 +231,7 @@ class EvalServer:
                         chan.send("EOS_SRC", {})
                         continue
                     r += 1
-                    actions.append(Action.READ)
+                    actions.append(READ)
                     if not self.fast_forward:
                         wait_s = (r * seg_ms) / 1000 - (time.monotonic() - t0)
                         if wait_s > 0:
@@ -251,7 +252,7 @@ class EvalServer:
                         checked_field(body, "src_consumed", lambda v: is_int(v) and v == r, f"{r}")
                     except ValueError as exc:
                         raise ProtocolError(f"bad WRITE: {exc}") from None
-                    actions.append(Action.WRITE)
+                    actions.append(WRITE)
                 elif msg_type == "EOS_TGT":
                     break
                 else:
@@ -259,9 +260,7 @@ class EvalServer:
             result = run_session(utt, self.config, ScriptedPolicy(tuple(actions)))
             if list(result.hypothesis) != tokens:
                 raise ProtocolError("client tokens disagree with replay")
-            with self._lock:
-                self.results[utt.id] = result
-                remaining = len(self.corpus) - self._next
+            remaining = len(self.corpus) - self._next
             chan.send("METRICS", {**_metrics_body(result), "remaining": remaining})
         except Exception as exc:  # one bad session must not take the server down
             if isinstance(exc, ProtocolError):
@@ -355,8 +354,9 @@ def run_client_session(host: str, port: int) -> Optional[SessionExchange]:
         plan = policy.plan(utt)
         r = 0
         w = 0
+        READ = Action.READ  # a local: an Enum member lookup costs more than the loop's test
         for action in plan:
-            if action is Action.READ:
+            if action is READ:
                 chan.send("READ_REQ", {})
                 msg_type, seg = chan.recv()
                 if msg_type == "EOS_SRC":

@@ -424,6 +424,52 @@ def test_out_of_range_scorer_value_is_rejected_at_load(tmp_path, capsys):
     assert "bad option: scorer_value must be strictly inside (0, 1) at $['policy']" in err
 
 
+@pytest.mark.parametrize(
+    "command",
+    ["gen-corpus", "simulate-results", "simulate-csv", "sweep", "eval", "connect"],
+)
+def test_unwritable_output_is_one_error(tmp_path, capsys, monkeypatch, command):
+    from simulstream import cli
+
+    corpus = _gen(tmp_path, n=2)
+    results = tmp_path / "results.jsonl"
+    assert main(["simulate", "--corpus", str(corpus), "--out-results", str(results)]) == 0
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        closed_port = probe.getsockname()[1]
+    sessions = []
+    monkeypatch.setattr(cli, "run_session", lambda *args: sessions.append(args))
+    bad = tmp_path / "missing" / "out"
+    simulate = ["simulate", "--corpus", str(corpus)]
+    argv = {
+        "gen-corpus": ["gen-corpus", "--out", str(bad)],
+        "simulate-results": [*simulate, "--out-results", str(bad)],
+        "simulate-csv": [*simulate, "--out-csv", str(bad)],
+        "sweep": ["sweep", "--corpus", str(corpus), "--family", "waitk", "--grid", "1,3",
+                  "--out", str(bad)],
+        "eval": ["eval", "--results", str(results), "--out", str(bad)],
+        # the path is checked before any connection, so no server session is claimed
+        "connect": ["connect", "--port", str(closed_port), "--out", str(bad)],
+    }[command]
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"error: cannot write {bad}: " in _one_error_line(capsys)
+    assert sessions == []  # simulate and sweep fail before any session runs
+
+
+def test_simulate_rejects_one_path_for_both_outputs(tmp_path, capsys):
+    corpus = _gen(tmp_path, n=2)
+    out = tmp_path / "out"
+    argv = ["simulate", "--corpus", str(corpus), "--out-results", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out-csv", str(tmp_path / "." / "out")])
+    assert exc.value.code == 2
+    assert "are the same file" in _one_error_line(capsys)
+    assert not out.exists()
+
+
 _GOOD_UTT = {
     "id": "u", "source": [1, 2], "target": [1, 2], "oracle_alignment": [1, 2], "src_tok_ms": 100.0
 }
@@ -461,9 +507,21 @@ def test_malformed_corpus_line_is_one_error(tmp_path, capsys, command, bad, mess
     argv = [command, "--corpus", str(path)]
     if command == "serve":
         argv += ["--port", "0", "--once"]
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
+    # in a thread with a bounded join: a serve --once that wrongly accepted
+    # the corpus would wait for a client forever
+    codes = []
+
+    def run():
+        try:
+            main(argv)
+        except SystemExit as exc:
+            codes.append(exc.code)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert codes == [2]
     err = _one_error_line(capsys)
     assert str(path) in err and message in err
 
@@ -584,3 +642,45 @@ def test_sweep_exits_1_when_a_grid_point_fails(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.err.splitlines() == [f"failed: waitk=3: {victim}: boom"]
     assert "swept 2 grid points" in captured.out
+
+
+def test_simulate_exits_1_when_an_utterance_fails(tmp_path, capsys, monkeypatch):
+    from simulstream import cli
+    from simulstream.latency import corpus_mean, report_csv_row
+
+    corpus = _gen(tmp_path, n=3)
+    utterances = read_corpus(str(corpus))
+    victim = utterances[1].id
+    flags = ["--corpus", str(corpus), "--k", "2"]
+
+    def simulate(name):
+        results, csv = tmp_path / f"{name}.jsonl", tmp_path / f"{name}.csv"
+        rc = main(["simulate", *flags, "--out-results", str(results), "--out-csv", str(csv)])
+        return rc, results.read_text().splitlines(), csv.read_text().splitlines()
+
+    rc, full_lines, (header, *full_rows, _) = simulate("full")
+    assert rc == 0
+    real = cli.run_session
+
+    def run_session(utt, config, policy):
+        if utt.id == victim:
+            raise RuntimeError("boom")
+        return real(utt, config, policy)
+
+    monkeypatch.setattr(cli, "run_session", run_session)
+    capsys.readouterr()
+    rc, lines, (part_header, *rows, aggregate) = simulate("part")
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"failed: {victim}: boom"]
+    assert "simulated 2/3 utterances" in captured.out
+    # the survivors' lines and rows, in corpus order, are a full run's without the victim
+    assert lines == [line for line in full_lines if json.loads(line)["id"] != victim]
+    assert part_header == header
+    assert rows == [row for row in full_rows if not row.startswith(f"{victim},")]
+    assert len(rows) == 2
+    config = cli.build_config(cli.build_parser().parse_args(["simulate", *flags]))
+    policy = cli.policy_from_spec(config.policy)
+    survivors = [real(u, config, policy) for u in utterances if u.id != victim]
+    mean = corpus_mean([r.report() for r in survivors], [r.quality for r in survivors])
+    assert aggregate == report_csv_row("aggregate", *mean)

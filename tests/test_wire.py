@@ -1,5 +1,6 @@
 import json
 import socket
+from collections import Counter
 
 import pytest
 
@@ -53,7 +54,15 @@ def test_config_dict_round_trip():
         assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
 
 
-def test_loopback_metrics_match_in_process(server):
+def test_loopback_metrics_match_in_process(server, monkeypatch):
+    replays = []
+
+    def recording_run_session(utt, config, policy):
+        result = run_session(utt, config, policy)
+        replays.append(result)
+        return result
+
+    monkeypatch.setattr(wire, "run_session", recording_run_session)
     host, port = server.address
     exchanges = connect(host, port)
     assert len(exchanges) == 6
@@ -61,15 +70,18 @@ def test_loopback_metrics_match_in_process(server):
     for ex in exchanges:
         assert ex.max_field_gap() == 0.0
 
-    # server-side replay equals a plain in-process run of the same policy
+    # each end replays each utterance once, and every replay equals a plain
+    # in-process run of the same policy
+    corpus = _corpus()
+    assert Counter(r.utterance_id for r in replays) == {utt.id: 2 for utt in corpus}
     cfg = _config()
-    for utt in _corpus():
+    for utt in corpus:
         local = run_session(utt, cfg, policy_from_spec(cfg.policy))
-        remote = server.results[utt.id]
-        assert remote.ideal_delays_us == local.ideal_delays_us
-        assert remote.ca_delays_us == local.ca_delays_us
-        assert remote.hypothesis == local.hypothesis
-        assert remote.quality == local.quality
+        for remote in (r for r in replays if r.utterance_id == utt.id):
+            assert remote.ideal_delays_us == local.ideal_delays_us
+            assert remote.ca_delays_us == local.ca_delays_us
+            assert remote.hypothesis == local.hypothesis
+            assert remote.quality == local.quality
 
 
 def test_server_reports_done_when_drained(server):
