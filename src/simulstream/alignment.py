@@ -109,19 +109,24 @@ def expected_alignment_stable(p: np.ndarray) -> np.ndarray:
     buf[0, 0] = 1.0
     buf[1:] = p
     flat = buf.ravel()
-    step = max(M - 1, 1)  # M == 1: every diagonal is a single cell
+    step = M - 1 if M > 1 else 1  # M == 1: every diagonal is a single cell
     q = np.zeros(N)  # mass not yet stopped: survivors from j-1 plus arrivals
     keep = np.zeros(N)  # 1 - p[i, j-1]; multiplies q = 0 at j = 0
+    add, multiply, subtract = np.add, np.multiply, np.subtract
     for s in range(N + M - 1):
-        lo, hi = max(0, s - M + 1), min(N - 1, s)
+        # rows lo..hi-1 hold diagonal s; each view is taken once and written
+        # through out=, since q[rows] *= ... would copy back via __setitem__
+        lo = s - M + 1 if s >= M else 0
+        hi = s + 1 if s < N else N
         start = (lo + 1) * M + s - lo
-        stop = start + (hi - lo) * step + 1
-        rows = slice(lo, hi + 1)
-        q[rows] *= keep[rows]
-        q[rows] += flat[start - M : stop - M : step]
+        stop = start + (hi - 1 - lo) * step + 1
+        qv = q[lo:hi]
+        kv = keep[lo:hi]
+        multiply(qv, kv, out=qv)
+        add(qv, flat[start - M : stop - M : step], out=qv)
         cells = flat[start:stop:step]
-        np.subtract(1.0, cells, out=keep[rows])
-        np.multiply(cells, q[rows], out=cells)
+        subtract(1.0, cells, out=kv)
+        multiply(cells, qv, out=cells)
     return buf[1:]
 
 
@@ -163,6 +168,14 @@ def milk_soft_attention(alpha: np.ndarray, u: np.ndarray) -> np.ndarray:
     Evaluated in O(N*M) per call: prefix normalizers are shifted by the
     row max (the shift cancels between numerator and denominator), and
     the k-sum is a single reverse cumulative sum.
+
+    Two N x M buffers: e holds the shifted exponentials and, last, the
+    result; ratio holds the prefix normalizers, then alpha divided by
+    them, then their reverse cumulative sum, taken in place on the
+    reversed view. Each step is the ufunc a fresh-array evaluation would
+    run on the same operands, so the values are the same bits; numpy
+    buffers any in-place overlap it cannot prove safe. alpha and u are
+    only read.
     """
     alpha = np.asarray(alpha, dtype=np.float64)
     u = np.asarray(u, dtype=np.float64)
@@ -170,11 +183,17 @@ def milk_soft_attention(alpha: np.ndarray, u: np.ndarray) -> np.ndarray:
         raise ShapeError(f"alpha {alpha.shape} and u {u.shape} must be equal 2-d shapes")
     if not np.all(np.isfinite(u)):
         raise ValueError("energies must be finite")
-    e = np.exp(u - u.max(axis=1, keepdims=True))
-    prefix = np.cumsum(e, axis=1)
-    ratio = alpha / prefix
-    suffix = np.cumsum(ratio[:, ::-1], axis=1)[:, ::-1]
-    return e * suffix
+    # min and max propagate NaN and between them see both infinities,
+    # with no N x M temporary
+    if alpha.size and not (np.isfinite(alpha.min()) and np.isfinite(alpha.max())):
+        raise ValueError("alignment must be finite")
+    e = np.subtract(u, u.max(axis=1, keepdims=True))
+    np.exp(e, out=e)
+    ratio = np.cumsum(e, axis=1)
+    np.divide(alpha, ratio, out=ratio)
+    reversed_ratio = ratio[:, ::-1]
+    np.cumsum(reversed_ratio, axis=1, out=reversed_ratio)
+    return np.multiply(e, ratio, out=e)
 
 
 def spiky_low_probability_matrix(

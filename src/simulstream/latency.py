@@ -42,14 +42,20 @@ class DelayProfile:
     def __post_init__(self):
         if not self.delays_ms:
             raise MetricError("empty delay profile")
-        if self.source_duration_ms <= 0:
-            raise MetricError("source duration must be positive")
+        if not 0.0 < self.source_duration_ms < math.inf:  # NaN fails both
+            if math.isfinite(self.source_duration_ms):
+                raise MetricError("source duration must be positive")
+            raise MetricError(f"source duration must be finite, got {self.source_duration_ms}")
         if self.variant not in (IDEAL, COMPUTATION_AWARE):
             raise MetricError(f"unknown variant {self.variant!r}")
-        prev = -math.inf
+        # one chained test per delay rejects NaN, +-inf and a step back; the
+        # finite start makes a leading -inf fail it too
+        prev = -sys.float_info.max
         for d in self.delays_ms:
-            if d < prev - 1e-9:
-                raise MetricError("delays must be non-decreasing")
+            if not prev - 1e-9 <= d < math.inf:
+                if math.isfinite(d):
+                    raise MetricError("delays must be non-decreasing")
+                raise MetricError(f"delays must be finite, got {d}")
             prev = d
         if self.full_source_index is not None and not 1 <= self.full_source_index <= len(
             self.delays_ms

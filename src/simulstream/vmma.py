@@ -37,6 +37,7 @@ import numpy as np
 from .actions import Action, trace_from_consumption, validate_trace
 
 PROB_CLAMP = 1e-7
+_PROB_HIGH = 1.0 - PROB_CLAMP
 _CHUNK = 4096  # uniforms drawn per numpy call in estimate_elbo
 
 # free-state table lookups outside (PROB_CLAMP, 1-PROB_CLAMP) are clamped
@@ -55,15 +56,15 @@ def reset_clamp_warnings() -> None:
     _clamp_warnings = 0
 
 
-def _clamped(value: float) -> float:
-    global _clamp_warnings
+def _score(value: float) -> tuple[float, float, float, int]:
+    """A write-probability as (clamped p, log p, log(1 - p), 1 if clamped else 0)."""
     if value < PROB_CLAMP:
-        _clamp_warnings += 1
-        return PROB_CLAMP
-    if value > 1.0 - PROB_CLAMP:
-        _clamp_warnings += 1
-        return 1.0 - PROB_CLAMP
-    return value
+        value, clamped = PROB_CLAMP, 1
+    elif value > _PROB_HIGH:
+        value, clamped = _PROB_HIGH, 1
+    else:
+        clamped = 0
+    return value, math.log(value), math.log(1.0 - value), clamped
 
 
 class InvalidTraceError(ValueError):
@@ -264,10 +265,10 @@ def sample_trace_from_table(
 ) -> list[Action]:
     """Draw one action path from per-state Bernoulli write-probabilities."""
     M, N = src_len, tgt_len
-    rows = _table(table, M, N, "policy").tolist()
+    policy = _scorable(table, M, N, "policy")
     # a path has fewer than M + N free states, so one chunk is enough
     uniforms = _uniforms(np.random.default_rng(rng_seed), M + N)
-    cols, _, _ = _walk(rows, rows, M, N, uniforms)
+    cols, _, _ = _walk(policy, policy, M, N, uniforms)
     return trace_from_consumption([c + 1 for c in cols], M)
 
 
@@ -277,32 +278,57 @@ def _uniforms(rng: np.random.Generator, chunk: int) -> Iterator[float]:
         yield from rng.random(chunk).tolist()
 
 
+def _scorable(table, M: int, N: int, name: str) -> tuple[list[float], list]:
+    """A checked table's entries in row-major order, and a scores list of Nones."""
+    entries = _table(table, M, N, name).ravel().tolist()
+    return entries, [None] * len(entries)
+
+
 def _walk(
-    q: list[list[float]], p: list[list[float]], M: int, N: int, uniforms: Iterator[float]
+    q: tuple[list, list], p: tuple[list, list], M: int, N: int, uniforms: Iterator[float]
 ) -> tuple[list[int], float, float]:
     """Walk one path from (0, 0) to (N, M), scoring it under q and p.
 
-    At each free state the walk takes the next uniform u and writes iff
-    u < q (clamped); forced states take none. It adds the chosen action's
-    log-probability under q to lq and under p to lp, in path order, as
-    path_log_prob does. Returns (cols, lq, lp), where cols[i] is the
-    0-based source column at which target token i is written.
+    q and p are _scorable tables; free state (w, r) is entry
+    k = w * M + r - 1. At each free state the walk takes the next uniform
+    u and writes iff u < q (clamped); forced states take none. It adds
+    the chosen action's log-probability under q to lq and under p to lp,
+    in path order, as path_log_prob does. Returns (cols, lq, lp), where
+    cols[i] is the 0-based source column at which target token i is
+    written.
+
+    An entry is scored on the first visit of any walk given its scores
+    list, so a caller that reuses the tables clamps and takes logs once
+    per state, and one table passed as both is scored once. The clamp
+    counter still gains one per clamped lookup in each table per step.
     """
+    global _clamp_warnings
+    q, q_scores = q
+    p, p_scores = p
     cols = []
     lq = lp = 0.0
-    w, r = 0, 1  # the first action is a forced READ
+    clamps = 0
+    w, r, k = 0, 1, 0  # the first action is a forced READ
     while w < N and r < M:
-        qw = _clamped(q[w][r - 1])
-        pw = _clamped(p[w][r - 1])
-        if next(uniforms) < qw:
-            lq += math.log(qw)
-            lp += math.log(pw)
+        sq = q_scores[k]
+        if sq is None:
+            sq = q_scores[k] = _score(q[k])
+        sp = p_scores[k]
+        if sp is None:
+            sp = p_scores[k] = _score(p[k])
+        if next(uniforms) < sq[0]:
+            lq += sq[1]
+            lp += sp[1]
             cols.append(r - 1)
             w += 1
+            k += M
         else:
-            lq += math.log(1.0 - qw)
-            lp += math.log(1.0 - pw)
+            lq += sq[2]
+            lp += sp[2]
             r += 1
+            k += 1
+        clamps += sq[3] + sp[3]
+    _clamp_warnings += clamps
     cols += [M - 1] * (N - w)  # source exhausted: the remaining writes are forced
     return cols, lq, lp
 
@@ -344,6 +370,7 @@ def _table(table, M: int, N: int, name: str) -> np.ndarray:
 
 def path_log_prob(actions: Sequence[Action], table: np.ndarray, M: int, N: int) -> float:
     """log-probability of the trace under a table policy, free steps only."""
+    global _clamp_warnings
     table = _table(table, M, N, "policy")
     check = validate_trace(actions, M, N)
     if not check.ok:
@@ -353,8 +380,9 @@ def path_log_prob(actions: Sequence[Action], table: np.ndarray, M: int, N: int) 
     for a in actions:
         free = not (r == 0 or r == M or w == N)
         if free:
-            p_write = _clamped(float(table[w, r - 1]))
-            total += math.log(p_write if a is Action.WRITE else 1.0 - p_write)
+            _, log_write, log_read, clamped = _score(float(table[w, r - 1]))
+            total += log_write if a is Action.WRITE else log_read
+            _clamp_warnings += clamped
         if a is Action.READ:
             r += 1
         else:
@@ -415,8 +443,7 @@ def estimate_elbo(
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     M, N = src_len, tgt_len
-    q = _table(phi, M, N, "phi").tolist()
-    p = _table(omega, M, N, "omega").tolist()
+    q, p = _scorable(phi, M, N, "phi"), _scorable(omega, M, N, "omega")
     uniforms = _uniforms(np.random.default_rng(rng_seed), _CHUNK)
     loglik_sum = 0.0
     ratio_sum = 0.0
@@ -446,8 +473,7 @@ def exact_elbo(
     every term underflows or overflows exp.
     """
     M, N = src_len, tgt_len
-    q = _table(phi, M, N, "phi").tolist()
-    p = _table(omega, M, N, "omega").tolist()
+    q, p = _scorable(phi, M, N, "phi"), _scorable(omega, M, N, "omega")
     elbo = 0.0
     terms = []
     for k, actions in enumerate(enumerate_traces(M, N)):

@@ -199,6 +199,41 @@ def test_milk_shape_error():
         milk_soft_attention(np.full((1, 2), 0.5), np.array([[np.inf, 0.0]]))
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [np.full((2, 3), np.nan), [[0.5, np.nan, 0.5]], [[np.inf, 0.0, 0.0]], [[0.0, 1.0, -np.inf]]],
+    ids=["all-nan", "one-nan", "inf", "minus-inf"],
+)
+def test_milk_rejects_non_finite_alignment(bad):
+    bad = np.asarray(bad, dtype=np.float64)
+    with pytest.raises(ValueError, match="alignment must be finite"):
+        milk_soft_attention(bad, np.zeros(bad.shape))
+
+
+def test_milk_leaves_its_inputs_alone(rng):
+    a = expected_alignment_stable(random_stepwise(rng, 6, 9))
+    u = rng.normal(0, 2, size=(6, 9))
+    a_before, u_before = a.copy(), u.copy()
+    beta = milk_soft_attention(a, u)
+    assert np.array_equal(a, a_before) and np.array_equal(u, u_before)
+    assert not np.shares_memory(beta, a) and not np.shares_memory(beta, u)
+
+
+@pytest.mark.parametrize(
+    "n, digest",
+    [
+        (200, "ae40c30942025c9d6db1f33c659e94ed4afcb30aea67fd049573faddee892d3a"),
+        (800, "2fe2c05f80cc7e0fe59467d85ebaea2cd6a408900a474945ac7e42cbeaa09e34"),
+    ],
+)
+def test_milk_bytes_pinned_on_spiky_witness(n, digest):
+    # digests of the five-temporary evaluation (exp, cumsum, divide,
+    # reversed cumsum, multiply, each into a fresh array)
+    a = expected_alignment_stable(spiky_low_probability_matrix(n, n, seed=32))
+    u = np.random.default_rng(32).normal(0.0, 1.0, size=(n, n))
+    assert hashlib.sha256(milk_soft_attention(a, u).tobytes()).hexdigest() == digest
+
+
 def _row_loop_reference(p):
     """The scalar row-by-row evaluation the anti-diagonal sweep replaced."""
     N, M = p.shape

@@ -118,6 +118,42 @@ def test_profile_validation():
         expected_delays(np.eye(2), -1.0)
 
 
+@pytest.mark.parametrize(
+    "delays, duration",
+    [
+        ((100.0, math.nan, 300.0), 500.0),
+        ((math.nan,), 500.0),
+        ((100.0, math.inf), 300.0),
+        ((-math.inf, 100.0), 300.0),
+        ((100.0, 200.0), math.nan),
+        ((100.0, 200.0), math.inf),
+        ((100.0, 200.0), -math.inf),
+    ],
+    ids=["nan-delay", "only-nan", "inf-delay", "minus-inf-delay", "nan-t", "inf-t", "minus-inf-t"],
+)
+def test_profile_rejects_non_finite_numbers(delays, duration):
+    with pytest.raises(MetricError, match="finite"):
+        DelayProfile(delays, duration)
+
+
+def test_profile_keeps_its_messages_for_finite_numbers():
+    with pytest.raises(MetricError, match="non-decreasing"):
+        DelayProfile((2.0, 1.0), 100.0)
+    with pytest.raises(MetricError, match="positive"):
+        DelayProfile((1.0,), -5.0)
+    # the smallest float is a valid first delay
+    assert DelayProfile((-1.7976931348623157e308, 0.0), 100.0).delays_ms[0] < 0
+
+
+def test_expected_delays_rejects_non_finite_inputs():
+    with pytest.raises(MetricError, match="finite"):
+        expected_delays(np.full((2, 3), np.nan), 100.0)
+    with pytest.raises(MetricError, match="finite"):
+        expected_delays(np.eye(2), math.nan)
+    with pytest.raises(MetricError, match="finite"):
+        expected_delays(np.eye(2), math.inf)
+
+
 def test_computation_aware_never_below_ideal(rng):
     # same cutoff, per-token compute only adds delay
     for _ in range(100):

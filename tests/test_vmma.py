@@ -427,8 +427,12 @@ def _elbo_inputs(draw, max_side=12):
 def test_estimate_elbo_equals_three_pass_reference(case):
     m, n, phi, omega, weights, n_samples, seed = case
     loglik = _tabular_likelihood(weights)
+    before = clamp_warning_count()
     got = estimate_elbo(loglik, phi, omega, m, n, n_samples, seed)
+    between = clamp_warning_count()
     assert got == _three_pass_elbo(loglik, phi, omega, m, n, n_samples, seed)
+    # both count one per clamped lookup in each table at each free step
+    assert between - before == clamp_warning_count() - between
     want = _reference_walk(phi, m, n, np.random.default_rng(seed))
     assert sample_trace_from_table(phi, m, n, seed) == want
 
@@ -438,6 +442,7 @@ def test_estimate_elbo_equals_three_pass_reference(case):
 def test_exact_elbo_equals_per_trace_sum(case):
     m, n, phi, omega, weights, _, _ = case
     loglik = _tabular_likelihood(weights)
+    before = clamp_warning_count()
     want_elbo = 0.0
     terms = []
     for actions in enumerate_traces(m, n):
@@ -446,8 +451,10 @@ def test_exact_elbo_equals_per_trace_sum(case):
         ll = loglik(actions_to_alignment(actions, m, n))
         want_elbo += math.exp(lp_phi) * (ll - (lp_phi - lp_omega))
         terms.append(lp_omega + ll)
+    between = clamp_warning_count()
     elbo, log_marginal = exact_elbo(loglik, phi, omega, m, n)
     assert elbo == want_elbo
+    assert clamp_warning_count() - between == between - before
     assert log_marginal == pytest.approx(math.log(sum(math.exp(t) for t in terms)), abs=1e-12)
 
 
@@ -466,6 +473,15 @@ def test_estimate_elbo_counts_each_clamped_lookup():
     reset_clamp_warnings()
     estimate_elbo(lambda a: 0.0, np.zeros((2, 3)), np.ones((2, 3)), 3, 2, 5, rng_seed=0)
     assert clamp_warning_count() == 5 * 2 * 2
+    reset_clamp_warnings()
+
+
+def test_sample_trace_counts_each_clamped_lookup():
+    # zero write-probability reads at the four free states (0,1)..(0,4);
+    # the sampler walks the one table as both of the walk's tables
+    reset_clamp_warnings()
+    assert sample_trace_from_table(np.zeros((4, 5)), 5, 4, 0) == [R] * 5 + [W] * 4
+    assert clamp_warning_count() == 4 * 2
     reset_clamp_warnings()
 
 
