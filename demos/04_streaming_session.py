@@ -16,6 +16,7 @@ from simulstream import (
     generate_corpus,
     run_session,
 )
+from simulstream.session import EVENT_FIELDS
 
 
 def main() -> None:
@@ -43,8 +44,9 @@ def main() -> None:
         WaitKPolicy(2),
     )
     print("\nfirst ten events of the l=1 run:")
-    for e in res.events[:10]:
-        print(f"  t={e.t_us / 1000:7.1f} ms  wall={e.wall_us / 1000:7.1f} ms  {e.kind}  {e.payload}")
+    for t_us, wall_us, kind, *fields in res.events[:10]:
+        by_name = dict(zip(EVENT_FIELDS[kind], fields))
+        print(f"  t={t_us / 1000:7.1f} ms  wall={wall_us / 1000:7.1f} ms  {kind}  {by_name}")
 
 
 if __name__ == "__main__":

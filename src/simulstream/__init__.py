@@ -15,11 +15,9 @@ The package splits into three layers:
 from .actions import (
     Action,
     consumed_before_write,
-    decode_trace,
     encode_trace,
     trace_from_consumption,
     validate_trace,
-    wait_k_consumption,
     wait_k_mask,
     wait_k_trace,
 )
@@ -30,12 +28,10 @@ from .alignment import (
     milk_soft_attention,
     spiky_low_probability_matrix,
     validate_stepwise,
-    with_closed_last_column,
 )
 from .corpus import (
     SyntheticTaskSpec,
     Utterance,
-    corpus_quality_score,
     generate_corpus,
     quality_score,
     read_corpus,
@@ -83,7 +79,6 @@ from .vmma import (
     enumerate_traces,
     estimate_elbo,
     exact_elbo,
-    path_log_prob,
     path_log_ratio,
     sample_change_trace,
     sample_trace_from_table,

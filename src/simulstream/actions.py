@@ -60,15 +60,6 @@ def consumed_before_write(actions: Sequence[Action]) -> list[int]:
     return out
 
 
-def wait_k_consumption(k: int, i: int, M: int) -> int:
-    """g(i) = min(k + i - 1, M) for the fixed-lag policy."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if i < 1:
-        raise ValueError("i must be >= 1")
-    return min(k + i - 1, M)
-
-
 def wait_k_trace(k: int, M: int, N: int) -> list[Action]:
     """Fixed-lag schedule: read min(k, M) segments, then alternate.
 
@@ -124,14 +115,3 @@ def trace_from_consumption(g: Sequence[int], M: int) -> list[Action]:
 def encode_trace(actions: Iterable[Action]) -> str:
     return "".join("R" if a is Action.READ else "W" for a in actions)
 
-
-def decode_trace(text: str) -> list[Action]:
-    out = []
-    for ch in text:
-        if ch == "R":
-            out.append(Action.READ)
-        elif ch == "W":
-            out.append(Action.WRITE)
-        else:
-            raise ValueError(f"invalid action character {ch!r}")
-    return out

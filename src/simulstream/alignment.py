@@ -53,13 +53,6 @@ def validate_stepwise(p: np.ndarray) -> np.ndarray:
     return p
 
 
-def with_closed_last_column(p: np.ndarray) -> np.ndarray:
-    """Copy of p with the last column forced to 1."""
-    p = np.array(p, dtype=np.float64, copy=True)
-    p[:, -1] = 1.0
-    return p
-
-
 def _exclusive_survival(row: np.ndarray) -> np.ndarray:
     """cp_j = prod_{l<j} (1 - p_l), the probability of not stopping before j."""
     return np.cumprod(np.concatenate(([1.0], 1.0 - row[:-1])))
@@ -193,7 +186,12 @@ def milk_soft_attention(alpha: np.ndarray, u: np.ndarray) -> np.ndarray:
     np.divide(alpha, ratio, out=ratio)
     reversed_ratio = ratio[:, ::-1]
     np.cumsum(reversed_ratio, axis=1, out=reversed_ratio)
-    return np.multiply(e, ratio, out=e)
+    np.multiply(e, ratio, out=e)
+    # where a row's energies span more than ~745, exp underflows to 0, a
+    # prefix normalizer with it, and alpha over it gives inf or NaN
+    if e.size and not (np.isfinite(e.min()) and np.isfinite(e.max())):
+        raise ValueError("soft attention is not finite: a row's energies span too wide a range")
+    return e
 
 
 def spiky_low_probability_matrix(

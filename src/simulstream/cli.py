@@ -368,7 +368,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    logging.basicConfig(level=os.environ.get("SIMULSTREAM_LOG", "WARNING").upper())
+    level = os.environ.get("SIMULSTREAM_LOG", "WARNING")
+    if not isinstance(logging.getLevelName(level.upper()), int):
+        raise CliError(f"SIMULSTREAM_LOG {level!r} is not a log level name")
+    logging.basicConfig(level=level.upper())
     args = build_parser().parse_args(argv)
     return args.func(args)
 

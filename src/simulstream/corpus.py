@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -254,25 +254,3 @@ def quality_score(hypothesis: Sequence[int], reference: Sequence[int]) -> float:
         return 0.0
     return _bleu_from_stats(_match_totals(hypothesis, reference), len(hypothesis), len(reference))
 
-
-def corpus_quality_score(
-    hypotheses: Sequence[Sequence[int]], references: Sequence[Sequence[int]]
-) -> float:
-    """Corpus BLEU: n-gram statistics pooled over all pairs."""
-    if len(hypotheses) != len(references):
-        raise ValueError("hypothesis/reference count mismatch")
-    if not references:
-        raise ValueError("empty corpus")
-    pooled = [(0, 0)] * _MAX_ORDER
-    hyp_len = ref_len = 0
-    for hyp, ref in zip(hypotheses, references):
-        if len(ref) == 0:
-            raise ValueError("reference must be non-empty")
-        hyp_len += len(hyp)
-        ref_len += len(ref)
-        for k, (m, t) in enumerate(_match_totals(hyp, ref)):
-            pm, pt = pooled[k]
-            pooled[k] = (pm + m, pt + t)
-    if hyp_len == 0:
-        return 0.0
-    return _bleu_from_stats(pooled, hyp_len, ref_len)

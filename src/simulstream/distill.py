@@ -8,7 +8,6 @@ attention-concentration loss or a prior over write decisions.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 from typing import Protocol, Sequence
@@ -47,14 +46,6 @@ class OfflinePolicyTable:
 
     rank_threshold: int
     prefix_lengths: tuple[int, ...]
-
-    def to_json(self) -> str:
-        return json.dumps({"r": self.rank_threshold, "L": list(self.prefix_lengths)})
-
-    @classmethod
-    def from_json(cls, text: str) -> "OfflinePolicyTable":
-        d = json.loads(text)
-        return cls(int(d["r"]), tuple(int(x) for x in d["L"]))
 
 
 def extract_offline_policy(

@@ -22,10 +22,6 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-IDEAL = "ideal"
-COMPUTATION_AWARE = "computation_aware"
-
-
 class MetricError(ValueError):
     pass
 
@@ -34,7 +30,6 @@ class MetricError(ValueError):
 class DelayProfile:
     delays_ms: tuple[float, ...]
     source_duration_ms: float
-    variant: str = IDEAL
     # 1-based index of the first output emitted with the full source
     # consumed, when the producing session recorded it
     full_source_index: Optional[int] = None
@@ -46,8 +41,6 @@ class DelayProfile:
             if math.isfinite(self.source_duration_ms):
                 raise MetricError("source duration must be positive")
             raise MetricError(f"source duration must be finite, got {self.source_duration_ms}")
-        if self.variant not in (IDEAL, COMPUTATION_AWARE):
-            raise MetricError(f"unknown variant {self.variant!r}")
         # one chained test per delay rejects NaN, +-inf and a step back; the
         # finite start makes a leading -inf fail it too
         prev = -sys.float_info.max
@@ -108,7 +101,6 @@ def expected_delays(alpha: np.ndarray, per_source_ms: float) -> DelayProfile:
     return DelayProfile(
         delays_ms=tuple(float(d) for d in delays),
         source_duration_ms=alpha.shape[1] * per_source_ms,
-        variant=IDEAL,
     )
 
 

@@ -25,7 +25,6 @@ clock, and the fields are those EVENT_FIELDS names for the kind:
   n_units buffered units, oldest first, and plays them back over
   [start_us, end_us)
 
-Event.payload is a view derived on demand, the fields as a dict by name.
 A results line stores the log (each event an object with sorted keys),
 the hypothesis and a header: id, lengths, duration and quality. from_json
 folds the per-token fields from the log and checks the header against it.
@@ -50,7 +49,7 @@ from typing import Literal, Optional, Protocol, Sequence, Union, get_args, get_o
 
 from .actions import Action, validate_trace, wait_k_trace
 from .corpus import INTS, Utterance, quality_score
-from .latency import COMPUTATION_AWARE, IDEAL, DelayProfile, LatencyReport, build_report
+from .latency import DelayProfile, LatencyReport, build_report
 from .latency import checked_field, is_int, is_number
 from .vmma import ConstantScorer, OracleScorer, change_to_actions, sample_change_trace
 
@@ -278,7 +277,6 @@ EVENT_FIELDS = {
     "write": ("token", "n_units", "src_consumed"),
     "vocoder_call": ("n_units", "start_us", "end_us"),
 }
-EVENT_KINDS = tuple(EVENT_FIELDS)
 # an event's keys in row order, and the getter that reads a stored event into a row
 _ROW_KEYS = {kind: ("t_us", "wall_us", "kind", *names) for kind, names in EVENT_FIELDS.items()}
 _READERS = {kind: itemgetter(*keys) for kind, keys in _ROW_KEYS.items()}
@@ -296,22 +294,7 @@ def _encoder(kind: str):
 _ENCODERS = {kind: _encoder(kind) for kind in EVENT_FIELDS}
 
 
-class Event(tuple):
-    """One log entry as a row (t_us, wall_us, kind, *EVENT_FIELDS[kind])."""
-
-    __slots__ = ()
-
-    t_us = property(itemgetter(0), doc="ideal clock")
-    wall_us = property(itemgetter(1), doc="computation-aware clock")
-    kind = property(itemgetter(2))
-
-    @property
-    def payload(self) -> dict:
-        """The kind's fields by name, in EVENT_FIELDS order."""
-        return dict(zip(EVENT_FIELDS[self[2]], self[3:]))
-
-
-def _events_to_json(events: Sequence[Event]) -> str:
+def _events_to_json(events: Sequence[tuple]) -> str:
     parts = []
     for e in events:
         fmt, get = _ENCODERS[e[2]]
@@ -319,7 +302,7 @@ def _events_to_json(events: Sequence[Event]) -> str:
     return "[" + ", ".join(parts) + "]"
 
 
-def _events_from_json(stored: list) -> tuple[Event, ...]:
+def _events_from_json(stored: list) -> tuple[tuple, ...]:
     """Rows for a stored event list. An event must be an object of one
     EVENT_FIELDS kind with exactly that kind's keys and integer values;
     a missing key raises KeyError, anything else SessionError."""
@@ -346,7 +329,7 @@ def _events_from_json(stored: list) -> tuple[Event, ...]:
             if key != "kind" and type(value) is not int
         )
         raise SessionError(f"event {n} ({kind}): {key} {value!r} is not an integer")
-    return tuple(map(Event, rows))
+    return tuple(rows)
 
 
 def synthetic_hypothesis_token(utterance: Utterance, index: int, consumed: int) -> int:
@@ -368,7 +351,7 @@ class SessionResult:
     source_len: int
     target_len: int
     source_duration_us: int
-    events: tuple[Event, ...]
+    events: tuple[tuple, ...]  # rows (t_us, wall_us, kind, *EVENT_FIELDS[kind])
     hypothesis: tuple[int, ...]
     consumption: tuple[int, ...]  # g(i): segments read before token i
     ideal_delays_us: tuple[int, ...]
@@ -381,7 +364,6 @@ class SessionResult:
         return DelayProfile(
             delays_ms=tuple([d / 1000 for d in self.ideal_delays_us]),
             source_duration_ms=self.source_duration_us / 1000,
-            variant=IDEAL,
             full_source_index=self.full_source_index,
         )
 
@@ -390,7 +372,6 @@ class SessionResult:
         return DelayProfile(
             delays_ms=tuple([d / 1000 for d in self.ca_delays_us]),
             source_duration_ms=self.source_duration_us / 1000,
-            variant=COMPUTATION_AWARE,
             full_source_index=self.full_source_index,
         )
 
@@ -476,7 +457,7 @@ def run_session(utterance: Utterance, config: SessionConfig, policy: Policy) -> 
     t_ideal = 0
     t_ca = 0
     r = w = 0
-    events: list[Event] = []
+    events: list[tuple] = []
     log = events.append
     READ = Action.READ
     buffered = 0  # units written but not yet synthesized
@@ -494,12 +475,12 @@ def run_session(utterance: Utterance, config: SessionConfig, policy: Policy) -> 
             if t_ideal < arr:
                 t_ideal = arr
             t_ca = (t_ca if t_ca > arr else arr) + dec_us
-            log(Event((t_ideal, t_ca, "read", r)))
+            log((t_ideal, t_ca, "read", r))
         else:
             w += 1
             t_ca += dec_us
             hypothesis.append(synthetic_hypothesis_token(utterance, w, r))
-            log(Event((t_ideal, t_ca, "write", w, upt, r)))
+            log((t_ideal, t_ca, "write", w, upt, r))
             buffered += upt
             # a vocoder call per emission_rate_l units; after the last
             # token nothing further can arrive, so one more emits the tail
@@ -508,12 +489,12 @@ def run_session(utterance: Utterance, config: SessionConfig, policy: Policy) -> 
                 t_ca += call_us
                 start = t_ca if t_ca > audio_end else audio_end
                 audio_end = start + span_us
-                log(Event((t_ideal, t_ca, "vocoder_call", l, start, audio_end)))
+                log((t_ideal, t_ca, "vocoder_call", l, start, audio_end))
             if buffered and w == N:
                 t_ca += buffered * per_unit_us
                 start = t_ca if t_ca > audio_end else audio_end
                 audio_end = start + buffered * unit_us
-                log(Event((t_ideal, t_ca, "vocoder_call", buffered, start, audio_end)))
+                log((t_ideal, t_ca, "vocoder_call", buffered, start, audio_end))
 
     return SessionResult(
         utterance_id=utterance.id,
@@ -527,7 +508,7 @@ def run_session(utterance: Utterance, config: SessionConfig, policy: Policy) -> 
     )
 
 
-def fold_events(events: Sequence[Event]) -> dict:
+def fold_events(events: Sequence[tuple]) -> dict:
     """Per-token fields of a SessionResult, derived from its event log.
 
     Token i is produced by the first vocoder_call whose running unit
@@ -570,7 +551,7 @@ def fold_events(events: Sequence[Event]) -> dict:
     }
 
 
-def discontinuity_report(events: Sequence[Event]) -> tuple[float, int, float]:
+def discontinuity_report(events: Sequence[tuple]) -> tuple[float, int, float]:
     """(total_gap_ms, gap_count, max_gap_ms) between emitted audio spans."""
     total = count = biggest = 0
     prev_end = None  # end_us of the last vocoder_call so far

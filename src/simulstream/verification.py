@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import alignment, latency, vmma
-from .actions import Action, consumed_before_write, wait_k_trace
+from .actions import consumed_before_write, wait_k_trace
 from .corpus import SyntheticTaskSpec, generate_corpus, quality_score
 from .session import ComputeModel, PolicySpec, SessionConfig, WaitKPolicy, run_session
 
@@ -206,8 +206,8 @@ def check_conservation(seed: int = 23) -> CheckResult:
                 compute=ComputeModel(per_decision_ms=1.0, per_unit_ms=0.1),
             )
             result = run_session(utt, config, WaitKPolicy(2))
-            spans = [e.payload for e in result.events if e.kind == "vocoder_call"]
-            totals.append(sum(s["end_us"] - s["start_us"] for s in spans))
+            # vocoder_call rows: (t_us, wall_us, kind, n_units, start_us, end_us)
+            totals.append(sum(e[5] - e[4] for e in result.events if e[2] == "vocoder_call"))
         want = n_units * 20000
         if any(t != want for t in totals):
             return CheckResult(

@@ -34,7 +34,7 @@ from typing import Callable, Iterator, Protocol, Sequence
 
 import numpy as np
 
-from .actions import Action, trace_from_consumption, validate_trace
+from .actions import Action, consumed_before_write, trace_from_consumption, validate_trace
 
 PROB_CLAMP = 1e-7
 _PROB_HIGH = 1.0 - PROB_CLAMP
@@ -42,8 +42,8 @@ _CHUNK = 4096  # uniforms drawn per numpy call in estimate_elbo
 
 # free-state table lookups outside (PROB_CLAMP, 1-PROB_CLAMP) are clamped
 # and counted here, one count per clamped lookup: the walk looks each free
-# state up once in each of its two tables, path_log_prob once in its one;
-# read via clamp_warning_count(), reset for tests
+# state up once in each of its two tables; read via clamp_warning_count(),
+# reset for tests
 _clamp_warnings = 0
 
 
@@ -115,23 +115,21 @@ class ChangeTrace:
     """Flip indicators z*_k over the M+N decision steps, starting from READ."""
 
     changes: tuple[int, ...]
-    forced: tuple[bool, ...]
     src_len: int
     tgt_len: int
 
     def __post_init__(self):
         if len(self.changes) != self.src_len + self.tgt_len:
             raise InvalidTraceError("change trace must cover exactly M+N decisions")
-        if len(self.forced) != len(self.changes):
-            raise InvalidTraceError("forced mask length mismatch")
 
     @property
     def n_changes(self) -> int:
         return sum(self.changes)
 
     @property
-    def n_sampled_changes(self) -> int:
-        return sum(c for c, f in zip(self.changes, self.forced) if not f)
+    def forced(self) -> tuple[bool, ...]:
+        """Steps where the state machine left no choice."""
+        return _forced_mask(change_to_actions(self), self.src_len, self.tgt_len)
 
 
 def change_to_actions(trace: ChangeTrace) -> list[Action]:
@@ -147,7 +145,7 @@ def change_to_actions(trace: ChangeTrace) -> list[Action]:
     return out
 
 
-def actions_to_changes(actions: Sequence[Action], forced=None) -> ChangeTrace:
+def actions_to_changes(actions: Sequence[Action]) -> ChangeTrace:
     """Inverse of change_to_actions; round-trips exactly."""
     if not actions or actions[0] is not Action.READ:
         raise InvalidTraceError("trace must begin with READ")
@@ -157,14 +155,10 @@ def actions_to_changes(actions: Sequence[Action], forced=None) -> ChangeTrace:
         changes.append(0 if idx == 0 else int(a is not prev))
         prev = a
     M = sum(1 for a in actions if a is Action.READ)
-    N = len(actions) - M
-    if forced is None:
-        forced = _forced_mask(actions, M, N)
-    return ChangeTrace(tuple(changes), tuple(forced), M, N)
+    return ChangeTrace(tuple(changes), M, len(actions) - M)
 
 
 def _forced_mask(actions: Sequence[Action], M: int, N: int) -> tuple[bool, ...]:
-    """Steps where the state machine left no choice."""
     w = r = 0
     out = []
     for a in actions:
@@ -181,17 +175,7 @@ def actions_to_alignment(actions: Sequence[Action], M: int, N: int) -> np.ndarra
     check = validate_trace(actions, M, N)
     if not check.ok:
         raise InvalidTraceError(check.reason)
-    align = np.zeros((N, M))
-    w = r = 0
-    for a in actions:
-        if a is Action.READ:
-            r += 1
-        else:
-            if r == 0:
-                raise InvalidTraceError("write before any read")
-            align[w, r - 1] = 1.0
-            w += 1
-    return align
+    return _alignment([g - 1 for g in consumed_before_write(actions)], M, N)
 
 
 def alignment_to_actions(align: np.ndarray) -> list[Action]:
@@ -240,15 +224,13 @@ def sample_change_trace(
     w = r = 0
     writing = False  # the current action: READ until the first flip
     k_last = 1
-    changes, forced = [], []
+    changes = []
     for k in range(1, M + N + 1):
         if 0 < r < M and w < N:  # a free step
             f = score(w, r)
             z = next(uniforms) < change_probability(lam, k - k_last, 1.0 - f if writing else f)
-            forced.append(False)
         else:  # forced: READ first, WRITE once the source is out, READ once the target is
             z = writing if w == N else (r == M and not writing)
-            forced.append(True)
         if z:
             writing = not writing
             k_last = k
@@ -257,7 +239,7 @@ def sample_change_trace(
             w += 1
         else:
             r += 1
-    return ChangeTrace(tuple(map(int, changes)), tuple(forced), M, N)
+    return ChangeTrace(tuple(map(int, changes)), M, N)
 
 
 def sample_trace_from_table(
@@ -293,7 +275,7 @@ def _walk(
     k = w * M + r - 1. At each free state the walk takes the next uniform
     u and writes iff u < q (clamped); forced states take none. It adds
     the chosen action's log-probability under q to lq and under p to lp,
-    in path order, as path_log_prob does. Returns (cols, lq, lp), where
+    in path order. Returns (cols, lq, lp), where
     cols[i] is the 0-based source column at which target token i is
     written.
 
@@ -368,34 +350,17 @@ def _table(table, M: int, N: int, name: str) -> np.ndarray:
     return table
 
 
-def path_log_prob(actions: Sequence[Action], table: np.ndarray, M: int, N: int) -> float:
-    """log-probability of the trace under a table policy, free steps only."""
-    global _clamp_warnings
-    table = _table(table, M, N, "policy")
-    check = validate_trace(actions, M, N)
-    if not check.ok:
-        raise InvalidTraceError(check.reason)
-    w = r = 0
-    total = 0.0
-    for a in actions:
-        free = not (r == 0 or r == M or w == N)
-        if free:
-            _, log_write, log_read, clamped = _score(float(table[w, r - 1]))
-            total += log_write if a is Action.WRITE else log_read
-            _clamp_warnings += clamped
-        if a is Action.READ:
-            r += 1
-        else:
-            w += 1
-    return total
-
-
 def path_log_ratio(
     actions: Sequence[Action], phi: np.ndarray, omega: np.ndarray, M: int, N: int
 ) -> float:
-    """log q_phi(trace) - log p_omega(trace); zero when the tables agree."""
-    phi, omega = _table(phi, M, N, "phi"), _table(omega, M, N, "omega")
-    return path_log_prob(actions, phi, M, N) - path_log_prob(actions, omega, M, N)
+    """log q_phi(trace) - log p_omega(trace) over the free steps; zero when
+    the tables agree."""
+    q, p = _scorable(phi, M, N, "phi"), _scorable(omega, M, N, "omega")
+    check = validate_trace(actions, M, N)
+    if not check.ok:
+        raise InvalidTraceError(check.reason)
+    _, lq, lp = _walk(q, p, M, N, _replay(actions, M, N))
+    return lq - lp
 
 
 def enumerate_traces(M: int, N: int, limit: int = 12) -> list[list[Action]]:

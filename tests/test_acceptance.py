@@ -315,8 +315,8 @@ def test_criterion_10_emission_rate_properties():
                 compute=ComputeModel(per_decision_ms=1.0, per_unit_ms=0.1),
             )
             result = run_session(utt, config, WaitKPolicy(2))
-            spans = [e.payload for e in result.events if e.kind == "vocoder_call"]
-            total = sum(s["end_us"] - s["start_us"] for s in spans)
+            # vocoder_call rows: (t_us, wall_us, kind, n_units, start_us, end_us)
+            total = sum(e[5] - e[4] for e in result.events if e[2] == "vocoder_call")
             conserved = conserved and total == n_units * unit_us
             delays[l] = result.ideal_delays_us
         ordered = ordered and all(a <= b for a, b in zip(delays[1], delays[n_units]))

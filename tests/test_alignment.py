@@ -15,7 +15,6 @@ from simulstream.alignment import (
     milk_soft_attention,
     spiky_low_probability_matrix,
     validate_stepwise,
-    with_closed_last_column,
 )
 from conftest import random_stepwise
 
@@ -135,6 +134,13 @@ def test_expected_delay_monotone(rng):
         assert np.all(np.diff(delays) >= -1e-9)
 
 
+def _closed(p):
+    """A copy of p with its last column set to 1."""
+    p = np.array(p, dtype=np.float64)
+    p[:, -1] = 1.0
+    return p
+
+
 def test_validate_stepwise_errors():
     with pytest.raises(ShapeError):
         validate_stepwise(np.zeros((0, 3)))
@@ -142,10 +148,10 @@ def test_validate_stepwise_errors():
         validate_stepwise(np.array([[0.0, 1.0]]))
     with pytest.raises(ValueError):
         validate_stepwise(np.array([[0.5, 0.9]]))
-    closed = with_closed_last_column(np.array([[0.5, 0.9]]))
+    closed = _closed(np.array([[0.5, 0.9]]))
     assert validate_stepwise(closed) is not None
     with pytest.raises(SizeLimitError):
-        enumerate_alignment_oracle(with_closed_last_column(np.full((9, 9), 0.5)))
+        enumerate_alignment_oracle(_closed(np.full((9, 9), 0.5)))
 
 
 def _milk_reference(a, u):
@@ -210,6 +216,21 @@ def test_milk_rejects_non_finite_alignment(bad):
         milk_soft_attention(bad, np.zeros(bad.shape))
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("low", [-800.0, -720.0])
+def test_milk_rejects_an_energy_span_that_underflows(low):
+    # exp(low) underflows to 0 (-800) or to a subnormal that 0.5 divided
+    # by overflows (-720); the result would hold NaN or inf
+    with pytest.raises(ValueError, match="soft attention is not finite"):
+        milk_soft_attention(np.full((1, 2), 0.5), np.array([[low, 0.0]]))
+
+
+def test_milk_keeps_a_wide_span_that_stays_finite():
+    beta = milk_soft_attention(np.full((1, 2), 0.5), np.array([[-700.0, 0.0]]))
+    assert np.all(np.isfinite(beta))
+    assert beta.sum() == pytest.approx(1.0, abs=1e-12)
+
+
 def test_milk_leaves_its_inputs_alone(rng):
     a = expected_alignment_stable(random_stepwise(rng, 6, 9))
     u = rng.normal(0, 2, size=(6, 9))
@@ -271,9 +292,9 @@ def _stepwise_matrices(draw):
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(_stepwise_matrices())
 @example(np.ones((1, 1)))
-@example(with_closed_last_column(np.full((1, 40), 1e-300)))
-@example(with_closed_last_column(np.full((40, 1), 0.5)))
-@example(with_closed_last_column(np.full((40, 40), 1e-300)))
+@example(_closed(np.full((1, 40), 1e-300)))
+@example(_closed(np.full((40, 1), 0.5)))
+@example(_closed(np.full((40, 40), 1e-300)))
 def test_stable_sweep_is_bit_identical_to_row_loop(p):
     assert np.array_equal(expected_alignment_stable(p), _row_loop_reference(p))
 

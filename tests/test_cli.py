@@ -300,6 +300,16 @@ def test_verify_command_passes(capsys):
     assert "FAIL" not in out
 
 
+def test_unknown_log_level_is_one_error(monkeypatch, capsys):
+    monkeypatch.setenv("SIMULSTREAM_LOG", "verbose")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: SIMULSTREAM_LOG 'verbose' is not a log level name\n"
+    assert captured.out == ""
+
+
 def test_serve_and_connect_round_trip(tmp_path, capsys):
     corpus = _gen(tmp_path, n=4)
     with socket.socket() as probe:

@@ -10,7 +10,6 @@ from simulstream.corpus import (
     CorpusConfigError,
     SyntheticTaskSpec,
     Utterance,
-    corpus_quality_score,
     generate_corpus,
     quality_score,
     read_corpus,
@@ -69,19 +68,6 @@ def test_brevity_penalty_direction():
     short = quality_score([1, 2, 3], ref)
     full = quality_score([1, 2, 3, 4, 5, 6], ref)
     assert short < full
-
-
-def test_corpus_quality_pools_counts(rng):
-    refs = [[int(t) for t in rng.integers(0, 5, size=8)] for _ in range(10)]
-    hyps = [list(r) for r in refs]
-    hyps[0][0] = 99  # one error overall
-    pooled = corpus_quality_score(hyps, refs)
-    assert 0 < pooled < 100
-    # pooling is permutation invariant
-    order = list(rng.permutation(10))
-    assert corpus_quality_score([hyps[i] for i in order], [refs[i] for i in order]) == pytest.approx(
-        pooled, abs=1e-12
-    )
 
 
 def test_generate_corpus_deterministic():

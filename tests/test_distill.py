@@ -1,4 +1,3 @@
-import json
 
 import numpy as np
 import pytest
@@ -93,13 +92,6 @@ def test_extract_validates_probe_grid():
         extract_offline_policy(oracle, [3, 2], r=1, tgt_len=2)
     with pytest.raises(ValueError):
         extract_offline_policy(oracle, [1, 2], r=0, tgt_len=2)
-
-
-def test_policy_table_json_round_trip():
-    table = OfflinePolicyTable(2, (1, 3, 4))
-    back = OfflinePolicyTable.from_json(table.to_json())
-    assert back == table
-    assert json.loads(table.to_json()) == {"r": 2, "L": [1, 3, 4]}
 
 
 def test_aux_loss_hand_values():

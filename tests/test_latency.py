@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from simulstream.actions import consumed_before_write, wait_k_trace
 from simulstream.alignment import expected_alignment_stable
 from simulstream.latency import (
-    COMPUTATION_AWARE,
-    IDEAL,
     DelayProfile,
     REPORT_CSV_COLUMNS,
     LatencyReport,
@@ -107,8 +105,6 @@ def test_profile_validation():
     with pytest.raises(MetricError):
         DelayProfile((2.0, 1.0), 100.0)
     with pytest.raises(MetricError):
-        DelayProfile((1.0,), 100.0, variant="other")
-    with pytest.raises(MetricError):
         DelayProfile((1.0, 2.0), 100.0, full_source_index=3)
     with pytest.raises(MetricError):
         average_lagging(DelayProfile((1.0,), 100.0), 0)
@@ -162,14 +158,14 @@ def test_computation_aware_never_below_ideal(rng):
         base = np.sort(rng.uniform(0.0, t_x, size=n))
         extra = np.cumsum(rng.uniform(0.0, 50.0, size=n))
         tau = int(rng.integers(1, n + 1))
-        ideal = DelayProfile(tuple(base), t_x, IDEAL, full_source_index=tau)
-        ca = DelayProfile(tuple(base + extra), t_x, COMPUTATION_AWARE, full_source_index=tau)
+        ideal = DelayProfile(tuple(base), t_x, full_source_index=tau)
+        ca = DelayProfile(tuple(base + extra), t_x, full_source_index=tau)
         assert average_lagging(ca, n) >= average_lagging(ideal, n) - 1e-9
 
 
 def test_report_round_trip_and_csv():
     ideal = DelayProfile((1000.0, 2000.0, 3000.0), 3000.0)
-    ca = DelayProfile((1100.0, 2200.0, 3300.0), 3000.0, COMPUTATION_AWARE)
+    ca = DelayProfile((1100.0, 2200.0, 3300.0), 3000.0)
     report = build_report(ideal, ca, 42.5, 3)
     assert report.al_ms == pytest.approx(1000.0)
     assert report.mean_delay_ms == pytest.approx(2000.0)
@@ -185,7 +181,7 @@ def test_report_round_trip_and_csv():
 
 def test_report_length_mismatch():
     a = DelayProfile((1.0,), 10.0)
-    b = DelayProfile((1.0, 2.0), 10.0, COMPUTATION_AWARE)
+    b = DelayProfile((1.0, 2.0), 10.0)
     with pytest.raises(MetricError):
         build_report(a, b, 0.0, 2)
 

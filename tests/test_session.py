@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from simulstream.actions import (
     Action,
     consumed_before_write,
-    decode_trace,
     trace_from_consumption,
     wait_k_trace,
 )
@@ -92,21 +91,17 @@ def test_emission_rate_batches_delay_early_tokens():
 def test_audio_conservation_across_emission_rates():
     for l in (1, 2, 4):
         res = run_session(_utt(), _cfg(emission_rate_l=l), WaitKPolicy(1))
-        spans = [
-            (e.payload["start_us"], e.payload["end_us"])
-            for e in res.events
-            if e.kind == "vocoder_call"
-        ]
-        assert sum(end - start for start, end in spans) == 2 * 2 * 20_000
-        calls = [e.payload["n_units"] for e in res.events if e.kind == "vocoder_call"]
-        assert sum(calls) == 2 * 2
+        # vocoder_call rows: (t_us, wall_us, kind, n_units, start_us, end_us)
+        calls = [e[3:] for e in res.events if e[2] == "vocoder_call"]
+        assert sum(end - start for _, start, end in calls) == 2 * 2 * 20_000
+        assert sum(n_units for n_units, _, _ in calls) == 2 * 2
 
 
 def test_final_flush_emits_partial_batch():
     utt = _utt(m=1, n=1, align=[1])
     cfg = _cfg(units_per_token=3, emission_rate_l=2)
     res = run_session(utt, cfg, WaitKPolicy(1))
-    calls = [e.payload["n_units"] for e in res.events if e.kind == "vocoder_call"]
+    calls = [e[3] for e in res.events if e[2] == "vocoder_call"]
     assert calls == [2, 1]
     assert res.ideal_delays_us == (300_000,)
 
@@ -148,7 +143,7 @@ def test_premature_writes_lower_quality():
 
 def test_invalid_schedule_rejected():
     utt = _utt()
-    bad = ScriptedPolicy(tuple(decode_trace("WRRW")))
+    bad = ScriptedPolicy((Action.WRITE, Action.READ, Action.READ, Action.WRITE))
     with pytest.raises(SessionError):
         run_session(utt, _cfg(), bad)
     short = ScriptedPolicy((Action.READ, Action.WRITE))

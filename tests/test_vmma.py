@@ -22,7 +22,6 @@ from simulstream.vmma import (
     estimate_elbo,
     exact_elbo,
     PROB_CLAMP,
-    path_log_prob,
     path_log_ratio,
     reset_clamp_warnings,
     sample_change_trace,
@@ -93,7 +92,7 @@ def _scalar_sample_change_trace(scorer, lam, src_len, tgt_len, rng_seed):
             r += 1
         else:
             w += 1
-    return ChangeTrace(tuple(changes), tuple(forced), M, N)
+    return ChangeTrace(tuple(changes), M, N), tuple(forced)
 
 
 @st.composite
@@ -113,7 +112,9 @@ def _sampler_cases(draw):
 def test_change_trace_equals_scalar_draw_sampler(case):
     # the bulk-fetched uniforms are the scalar draws, one per free step in step order
     trace = sample_change_trace(*case)
-    assert trace == _scalar_sample_change_trace(*case)
+    want, forced = _scalar_sample_change_trace(*case)
+    assert trace == want
+    assert trace.forced == forced
     assert {*map(type, trace.changes)} <= {int}
 
 
@@ -122,8 +123,7 @@ def test_near_zero_scorer_changes_only_at_boundary():
     actions = change_to_actions(trace)
     # reads everything, then the forced flip, then writes everything
     assert actions == [R] * 5 + [W] * 4
-    sampled_changes = trace.n_sampled_changes
-    assert sampled_changes == 0
+    assert sum(c for c, f in zip(trace.changes, trace.forced) if not f) == 0
     assert trace.n_changes == 1  # the boundary-forced flip to WRITE
 
 
@@ -172,12 +172,12 @@ def test_change_frequency_increases_with_lambda():
 
 def test_change_to_actions_rejects_flip_at_start():
     with pytest.raises(InvalidTraceError):
-        change_to_actions(ChangeTrace((1, 0, 0, 0), (False,) * 4, 2, 2))
+        change_to_actions(ChangeTrace((1, 0, 0, 0), 2, 2))
 
 
 def test_change_trace_validates_lengths():
     with pytest.raises(InvalidTraceError):
-        ChangeTrace((0, 0), (False, False), 2, 2)
+        ChangeTrace((0, 0), 2, 2)
 
 
 def test_actions_to_alignment_hand_cases():
@@ -206,18 +206,23 @@ def test_alignment_to_actions_rejects_soft_rows():
 
 
 def _step_product_log_prob(actions, table, m, n):
-    """Independent oracle: literal product over the decision walk."""
+    """Independent oracle: literal product over the decision walk, as the
+    table scorer was first written. Returns (log-probability, clamped
+    lookups)."""
     w = r = 0
     logp = 0.0
+    clamps = 0
     for a in actions:
         if not (r == 0 or r == m or w == n):
-            p = min(max(table[w, r - 1], 1e-7), 1 - 1e-7)
-            logp += math.log(p if a is W else 1 - p)
+            p = float(table[w, r - 1])
+            clamps += not PROB_CLAMP <= p <= 1.0 - PROB_CLAMP
+            p = min(max(p, PROB_CLAMP), 1.0 - PROB_CLAMP)
+            logp += math.log(p) if a is W else math.log(1.0 - p)
         if a is R:
             r += 1
         else:
             w += 1
-    return logp
+    return logp, clamps
 
 
 def test_path_log_ratio_hand_case():
@@ -236,9 +241,10 @@ def test_path_log_prob_matches_step_product(rng):
         n = int(rng.integers(1, 7))
         table = rng.uniform(0.05, 0.95, size=(n, m))
         actions = sample_trace_from_table(table, m, n, int(rng.integers(2**31)))
-        assert path_log_prob(actions, table, m, n) == pytest.approx(
-            _step_product_log_prob(actions, table, m, n), abs=1e-12
-        )
+        # each free step scores log 0.5 under the uniform table, whichever way it goes
+        free = sum(not f for f in actions_to_changes(actions).forced)
+        got = path_log_ratio(actions, table, np.full((n, m), 0.5), m, n) + free * math.log(0.5)
+        assert got == pytest.approx(_step_product_log_prob(actions, table, m, n)[0], abs=1e-12)
 
 
 def test_trace_probabilities_normalize(rng):
@@ -246,8 +252,8 @@ def test_trace_probabilities_normalize(rng):
         m = int(rng.integers(1, 5))
         n = int(rng.integers(1, 5))
         table = rng.uniform(0.05, 0.95, size=(n, m))
-        total = sum(math.exp(path_log_prob(t, table, m, n)) for t in enumerate_traces(m, n))
-        assert total == pytest.approx(1.0, abs=1e-9)
+        # under a constant likelihood the log marginal is log sum_t p(t)
+        assert exact_elbo(lambda a: 0.0, table, table, m, n)[1] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_path_log_ratio_self_is_zero(rng):
@@ -262,7 +268,7 @@ def test_clamp_warning_counter(rng):
     table = np.zeros((2, 3))  # degenerate: zero write probability
     actions = [R, R, W, R, W]
     before = clamp_warning_count()
-    path_log_prob(actions, table, 3, 2)
+    path_log_ratio(actions, table, np.full((2, 3), 0.5), 3, 2)
     assert clamp_warning_count() > before
     reset_clamp_warnings()
     assert clamp_warning_count() == 0
@@ -442,20 +448,36 @@ def test_estimate_elbo_equals_three_pass_reference(case):
 def test_exact_elbo_equals_per_trace_sum(case):
     m, n, phi, omega, weights, _, _ = case
     loglik = _tabular_likelihood(weights)
-    before = clamp_warning_count()
     want_elbo = 0.0
     terms = []
+    clamps = 0
     for actions in enumerate_traces(m, n):
-        lp_phi = path_log_prob(actions, phi, m, n)
-        lp_omega = path_log_prob(actions, omega, m, n)
+        lp_phi, phi_clamps = _step_product_log_prob(actions, phi, m, n)
+        lp_omega, omega_clamps = _step_product_log_prob(actions, omega, m, n)
+        clamps += phi_clamps + omega_clamps
         ll = loglik(actions_to_alignment(actions, m, n))
         want_elbo += math.exp(lp_phi) * (ll - (lp_phi - lp_omega))
         terms.append(lp_omega + ll)
-    between = clamp_warning_count()
+    before = clamp_warning_count()
     elbo, log_marginal = exact_elbo(loglik, phi, omega, m, n)
     assert elbo == want_elbo
-    assert clamp_warning_count() - between == between - before
+    assert clamp_warning_count() - before == clamps
     assert log_marginal == pytest.approx(math.log(sum(math.exp(t) for t in terms)), abs=1e-12)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_elbo_inputs(max_side=8))
+@example((3, 2, np.zeros((2, 3)), np.ones((2, 3)), np.zeros((2, 3)), 1, 0))
+def test_path_log_ratio_equals_two_scorer_difference(case):
+    # path_log_ratio as one walk is the difference of two scalar scorers,
+    # bit for bit, and counts the clamped lookups of both tables
+    m, n, phi, omega, _, _, seed = case
+    actions = _reference_walk(phi, m, n, np.random.default_rng(seed))
+    lq, q_clamps = _step_product_log_prob(actions, phi, m, n)
+    lp, p_clamps = _step_product_log_prob(actions, omega, m, n)
+    before = clamp_warning_count()
+    assert path_log_ratio(actions, phi, omega, m, n) == lq - lp
+    assert clamp_warning_count() - before == q_clamps + p_clamps
 
 
 def test_estimate_elbo_pinned_bench_input():
@@ -492,10 +514,7 @@ def test_non_finite_tables_are_rejected(bad):
     broken[1, 1] = bad
     trace = [R, W, R, W, R]
     calls = {
-        "policy": [
-            lambda: path_log_prob(trace, broken, 3, 2),
-            lambda: sample_trace_from_table(broken, 3, 2, 0),
-        ],
+        "policy": [lambda: sample_trace_from_table(broken, 3, 2, 0)],
         "phi": [
             lambda: path_log_ratio(trace, broken, ok, 3, 2),
             lambda: estimate_elbo(lambda a: 0.0, broken, ok, 3, 2, 5, rng_seed=0),

@@ -276,6 +276,13 @@ def _oversized(chan, utt):
     chan.wfile.flush()
 
 
+def _bool_seq_no(chan, utt):
+    # a bool is not an integer, so true is not sequence number 1
+    frame = {"type": "READ_REQ", "session_id": "", "seq_no": True, "body": {}}
+    chan.wfile.write(json.dumps(frame) + "\n")
+    chan.wfile.flush()
+
+
 @pytest.mark.parametrize(
     "misbehave, reason",
     [
@@ -283,6 +290,7 @@ def _oversized(chan, utt):
         (_non_dict_body, "body is not an object"),
         (_silent, "timed out after 0.2 s"),
         (_oversized, "frame too long"),
+        (_bool_seq_no, "sequence number regression: True after 0"),
         (
             _writes(lambda target: [str(target[0]), *(t + 0.5 for t in target[1:])]),
             "bad WRITE: token '",
@@ -292,7 +300,7 @@ def _oversized(chan, utt):
         (_writes(list, src_consumed=0), "bad WRITE: src_consumed 0 is not 1"),
     ],
     ids=[
-        "invalid-schedule", "non-dict-body", "silent", "oversized", "string-token",
+        "invalid-schedule", "non-dict-body", "silent", "oversized", "bool-seq-no", "string-token",
         "fractional-token", "skipped-index", "wrong-src-consumed",
     ],
 )
