@@ -6,7 +6,14 @@ Sweeping k maps out the tradeoff curve; seed 2024 is the published
 setting used by the acceptance gate.
 """
 
-from simulstream import PolicySpec, SessionConfig, SyntheticTaskSpec, generate_corpus, run_corpus
+from simulstream import (
+    PolicySpec,
+    SessionConfig,
+    SyntheticTaskSpec,
+    generate_corpus,
+    policy_from_spec,
+    run_session,
+)
 
 
 def main() -> None:
@@ -17,7 +24,8 @@ def main() -> None:
     print(f"{'k':>3}  {'quality':>8}  {'AL (ms)':>8}  {'CA-AL (ms)':>10}")
     for k in (1, 3, 5, 10, 15):
         config = SessionConfig(policy=PolicySpec("waitk", k=k))
-        results = run_corpus(corpus, config)
+        policy = policy_from_spec(config.policy)
+        results = [run_session(utt, config, policy) for utt in corpus]
         reports = [r.report() for r in results]
         quality = sum(r.quality for r in results) / len(results)
         al = sum(r.al_ms for r in reports) / len(reports)

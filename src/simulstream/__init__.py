@@ -63,7 +63,6 @@ from .session import (
     discontinuity_report,
     policy_from_spec,
     recompute_result_from_events,
-    run_corpus,
     run_session,
 )
 from .vmma import (

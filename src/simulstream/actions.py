@@ -9,7 +9,6 @@ READ (nothing can be emitted before any input arrives).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -21,31 +20,30 @@ class Action(str, Enum):
     WRITE = "WRITE"
 
 
-@dataclass(frozen=True)
-class TraceCheck:
-    ok: bool
-    reason: str = ""
+class InvalidTraceError(ValueError):
+    pass
 
 
-def validate_trace(actions: Sequence[Action], M: int, N: int) -> TraceCheck:
+def validate_trace(actions: Sequence[Action], M: int, N: int) -> None:
+    """Raise InvalidTraceError, naming the fault, unless actions is a legal
+    complete trace over M segments and N tokens."""
     READ = Action.READ  # a local: an Enum member lookup costs more than the loop's test
     reads = writes = 0
     if not actions:
-        return TraceCheck(False, "empty trace")
+        raise InvalidTraceError("empty trace")
     if actions[0] is not READ:
-        return TraceCheck(False, "trace must begin with READ")
+        raise InvalidTraceError("trace must begin with READ")
     for t, a in enumerate(actions):
         if a is READ:
             reads += 1
             if reads > M:
-                return TraceCheck(False, f"read past source end at step {t}")
+                raise InvalidTraceError(f"read past source end at step {t}")
         else:
             writes += 1
             if writes > N:
-                return TraceCheck(False, f"write past target end at step {t}")
+                raise InvalidTraceError(f"write past target end at step {t}")
     if reads != M or writes != N:
-        return TraceCheck(False, f"incomplete trace: {reads}/{M} reads, {writes}/{N} writes")
-    return TraceCheck(True)
+        raise InvalidTraceError(f"incomplete trace: {reads}/{M} reads, {writes}/{N} writes")
 
 
 def consumed_before_write(actions: Sequence[Action]) -> list[int]:

@@ -180,15 +180,17 @@ def milk_soft_attention(alpha: np.ndarray, u: np.ndarray) -> np.ndarray:
     # with no N x M temporary
     if alpha.size and not (np.isfinite(alpha.min()) and np.isfinite(alpha.max())):
         raise ValueError("alignment must be finite")
-    e = np.subtract(u, u.max(axis=1, keepdims=True))
-    np.exp(e, out=e)
-    ratio = np.cumsum(e, axis=1)
-    np.divide(alpha, ratio, out=ratio)
-    reversed_ratio = ratio[:, ::-1]
-    np.cumsum(reversed_ratio, axis=1, out=reversed_ratio)
-    np.multiply(e, ratio, out=e)
     # where a row's energies span more than ~745, exp underflows to 0, a
-    # prefix normalizer with it, and alpha over it gives inf or NaN
+    # prefix normalizer with it, and alpha over it gives inf or NaN: the
+    # check below reports that, so numpy is not to warn on the way
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        e = np.subtract(u, u.max(axis=1, keepdims=True))
+        np.exp(e, out=e)
+        ratio = np.cumsum(e, axis=1)
+        np.divide(alpha, ratio, out=ratio)
+        reversed_ratio = ratio[:, ::-1]
+        np.cumsum(reversed_ratio, axis=1, out=reversed_ratio)
+        np.multiply(e, ratio, out=e)
     if e.size and not (np.isfinite(e.min()) and np.isfinite(e.max())):
         raise ValueError("soft attention is not finite: a row's energies span too wide a range")
     return e

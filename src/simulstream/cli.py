@@ -242,6 +242,8 @@ def cmd_eval(args) -> int:
                 rows.append(report_csv_row(fresh.utterance_id, report, quality))
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read results {args.results}: {exc}")
+    if not rows:
+        raise CliError(f"results {args.results} is empty")
     with _open_out(args.out) as f:
         f.write(report_csv_header() + "\n")
         for row in rows:
@@ -268,7 +270,10 @@ def cmd_verify(args) -> int:
 def cmd_serve(args) -> int:
     corpus = _read_corpus_or_die(args.corpus)
     config = build_config(args)
-    server = wire.serve(args.host, args.port, corpus, config, fast_forward=not args.pace)
+    try:
+        server = wire.serve(args.host, args.port, corpus, config, fast_forward=not args.pace)
+    except (OSError, OverflowError) as exc:  # a busy port, a port past 65535, an unknown host
+        raise CliError(f"cannot serve on {args.host}:{args.port}: {exc}")
     host, port = server.address[0], server.address[1]
     print(f"serving {len(corpus)} utterances on {host}:{port}")
     # without --once, serve until interrupted

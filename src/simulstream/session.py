@@ -47,7 +47,7 @@ from itertools import chain
 from operator import itemgetter
 from typing import Literal, Optional, Protocol, Sequence, Union, get_args, get_origin, get_type_hints
 
-from .actions import Action, validate_trace, wait_k_trace
+from .actions import Action, InvalidTraceError, validate_trace, wait_k_trace
 from .corpus import INTS, Utterance, quality_score
 from .latency import DelayProfile, LatencyReport, build_report
 from .latency import checked_field, is_int, is_number
@@ -359,25 +359,17 @@ class SessionResult:
     full_source_index: Optional[int]
     quality: float
 
-    @property
-    def ideal_profile(self) -> DelayProfile:
+    def _profile(self, delays_us: tuple[int, ...]) -> DelayProfile:
         return DelayProfile(
-            delays_ms=tuple([d / 1000 for d in self.ideal_delays_us]),
-            source_duration_ms=self.source_duration_us / 1000,
-            full_source_index=self.full_source_index,
-        )
-
-    @property
-    def ca_profile(self) -> DelayProfile:
-        return DelayProfile(
-            delays_ms=tuple([d / 1000 for d in self.ca_delays_us]),
+            delays_ms=tuple([d / 1000 for d in delays_us]),
             source_duration_ms=self.source_duration_us / 1000,
             full_source_index=self.full_source_index,
         )
 
     def report(self) -> LatencyReport:
         total_gap, _, _ = discontinuity_report(self.events)
-        return build_report(self.ideal_profile, self.ca_profile, total_gap, self.target_len)
+        ideal, ca = self._profile(self.ideal_delays_us), self._profile(self.ca_delays_us)
+        return build_report(ideal, ca, total_gap, self.target_len)
 
     def to_json(self) -> str:
         """One JSON object with sorted keys: the header, the hypothesis and
@@ -436,9 +428,10 @@ def run_session(utterance: Utterance, config: SessionConfig, policy: Policy) -> 
     """Drive one utterance through a policy schedule and log everything."""
     trace = policy.plan(utterance)
     M, N = utterance.source_len, utterance.target_len
-    check = validate_trace(trace, M, N)
-    if not check.ok:
-        raise SessionError(f"policy produced an invalid schedule: {check.reason}")
+    try:
+        validate_trace(trace, M, N)
+    except InvalidTraceError as exc:
+        raise SessionError(f"policy produced an invalid schedule: {exc}") from None
 
     seg_ms = config.pre_decision_ms or utterance.source_token_duration_ms
     seg_us = _us(seg_ms)
@@ -572,10 +565,3 @@ def recompute_result_from_events(result: SessionResult) -> SessionResult:
     so equal to a result that from_json read. eval calls it by this name,
     which the benchmark's tracer times and its tests perturb."""
     return replace(result, **fold_events(result.events))
-
-
-def run_corpus(
-    corpus: Sequence[Utterance], config: SessionConfig, policy: Optional[Policy] = None
-) -> list[SessionResult]:
-    pol = policy if policy is not None else policy_from_spec(config.policy)
-    return [run_session(utt, config, pol) for utt in corpus]

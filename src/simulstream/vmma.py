@@ -35,6 +35,7 @@ from typing import Callable, Iterator, Protocol, Sequence
 import numpy as np
 
 from .actions import Action, consumed_before_write, trace_from_consumption, validate_trace
+from .actions import InvalidTraceError
 
 PROB_CLAMP = 1e-7
 _PROB_HIGH = 1.0 - PROB_CLAMP
@@ -65,10 +66,6 @@ def _score(value: float) -> tuple[float, float, float, int]:
     else:
         clamped = 0
     return value, math.log(value), math.log(1.0 - value), clamped
-
-
-class InvalidTraceError(ValueError):
-    pass
 
 
 class EvaluationError(RuntimeError):
@@ -133,28 +130,24 @@ class ChangeTrace:
 
 
 def change_to_actions(trace: ChangeTrace) -> list[Action]:
-    """Unfold flips into actions; initial action is READ."""
-    if trace.changes and trace.changes[0]:
-        raise InvalidTraceError("cannot flip before the first read")
+    """Unfold flips into actions; initial action is READ, so a flip at the
+    first step gives a trace that begins with WRITE, which is rejected."""
     # the action after k steps is READ after an even number of flips, else WRITE
     actions = (Action.READ, Action.WRITE)
     out = [actions[flips & 1] for flips in accumulate(map(bool, trace.changes))]
-    check = validate_trace(out, trace.src_len, trace.tgt_len)
-    if not check.ok:
-        raise InvalidTraceError(check.reason)
+    validate_trace(out, trace.src_len, trace.tgt_len)
     return out
 
 
 def actions_to_changes(actions: Sequence[Action]) -> ChangeTrace:
     """Inverse of change_to_actions; round-trips exactly."""
-    if not actions or actions[0] is not Action.READ:
-        raise InvalidTraceError("trace must begin with READ")
+    M = sum(1 for a in actions if a is Action.READ)
+    validate_trace(actions, M, len(actions) - M)  # the counts fit; this checks the start
     changes = []
     prev = Action.READ
     for idx, a in enumerate(actions):
         changes.append(0 if idx == 0 else int(a is not prev))
         prev = a
-    M = sum(1 for a in actions if a is Action.READ)
     return ChangeTrace(tuple(changes), M, len(actions) - M)
 
 
@@ -172,9 +165,7 @@ def _forced_mask(actions: Sequence[Action], M: int, N: int) -> tuple[bool, ...]:
 
 def actions_to_alignment(actions: Sequence[Action], M: int, N: int) -> np.ndarray:
     """Hard alignment: row i is one-hot at the source position of WRITE i."""
-    check = validate_trace(actions, M, N)
-    if not check.ok:
-        raise InvalidTraceError(check.reason)
+    validate_trace(actions, M, N)
     return _alignment([g - 1 for g in consumed_before_write(actions)], M, N)
 
 
@@ -356,9 +347,7 @@ def path_log_ratio(
     """log q_phi(trace) - log p_omega(trace) over the free steps; zero when
     the tables agree."""
     q, p = _scorable(phi, M, N, "phi"), _scorable(omega, M, N, "omega")
-    check = validate_trace(actions, M, N)
-    if not check.ok:
-        raise InvalidTraceError(check.reason)
+    validate_trace(actions, M, N)
     _, lq, lp = _walk(q, p, M, N, _replay(actions, M, N))
     return lq - lp
 

@@ -115,7 +115,9 @@ class _Channel:
         if msg_type not in MESSAGE_TYPES:
             raise ProtocolError(f"unknown message type {msg_type!r}")
         seq = record.get("seq_no")
-        if not is_int(seq) or seq <= self._recv_seq:
+        if not is_int(seq):
+            raise ProtocolError(f"sequence number {seq!r} is not an integer")
+        if seq <= self._recv_seq:
             raise ProtocolError(f"sequence number regression: {seq} after {self._recv_seq}")
         self._recv_seq = seq
         body = record.get("body", {})

@@ -28,9 +28,3 @@ def small_corpus():
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
-
-
-def random_stepwise(rng, n, m, low=0.05):
-    p = rng.uniform(low, 1.0, size=(n, m))
-    p[:, -1] = 1.0
-    return p

@@ -7,26 +7,24 @@ terminal summary prints, so a full run ends with one line per criterion.
 import time
 
 import numpy as np
-import pytest
 
-from simulstream.actions import consumed_before_write, wait_k_trace
-from simulstream.alignment import (
-    enumerate_alignment_oracle,
-    expected_alignment_div,
-    expected_alignment_stable,
-    milk_soft_attention,
-    spiky_low_probability_matrix,
-)
 from simulstream.corpus import SyntheticTaskSpec, generate_corpus
 from simulstream.distill import SyntheticRankOracle, aux_attention_loss, extract_offline_policy
-from simulstream.latency import DelayProfile, average_lagging
 from simulstream.session import (
     ComputeModel,
     PolicySpec,
     SessionConfig,
-    WaitKPolicy,
-    run_corpus,
+    policy_from_spec,
     run_session,
+)
+from simulstream.verification import (
+    check_alignment_enumeration,
+    check_average_lagging_examples,
+    check_conservation,
+    check_instability_witness,
+    check_milk,
+    check_waitk_al_property,
+    emission_rate_sessions,
 )
 from simulstream.vmma import (
     ConstantScorer,
@@ -39,95 +37,56 @@ from simulstream.vmma import (
 )
 from simulstream.wire import connect, serve
 
-from conftest import record_criterion, random_stepwise
+from conftest import record_criterion
 
-WITNESS_SEED = 32
 SWEEP_SEED = 2024
 
 
 def test_criterion_1_alignment_oracle_equivalence():
-    rng = np.random.default_rng(101)
     t0 = time.monotonic()
-    worst = 0.0
-    for _ in range(1000):
-        n = int(rng.integers(1, 7))
-        m = int(rng.integers(1, 7))
-        p = random_stepwise(rng, n, m)
-        err = np.abs(expected_alignment_stable(p) - enumerate_alignment_oracle(p)).max()
-        worst = max(worst, float(err))
+    result = check_alignment_enumeration(1000, seed=101)
     dt = time.monotonic() - t0
-    ok = worst < 1e-9 and dt < 60.0
+    ok = result.ok and dt < 60.0
     record_criterion(
         1,
         "stable expected alignment matches exact enumeration on 1000 small matrices",
         ok,
-        f"max err {worst:.2e}, {dt:.1f}s",
+        f"{result.detail}, {dt:.1f}s",
     )
     assert ok
 
 
 def test_criterion_2_instability_witness():
-    p = spiky_low_probability_matrix(200, 200, seed=WITNESS_SEED)
-    div = expected_alignment_div(p)
-    stable = expected_alignment_stable(p)
-    div_peak = float(np.abs(div).max())
-    diverged = (not np.all(np.isfinite(div))) or div_peak > 10.0
-    in_range = bool(np.all(stable >= 0.0) and np.all(stable <= 1.0))
-    row_err = float(np.abs(stable.sum(axis=1) - 1.0).max())
-    ok = diverged and in_range and row_err < 1e-9
+    result = check_instability_witness()
     record_criterion(
         2,
         "division-form alignment diverges on the witness while the stable form stays stochastic",
-        ok,
-        f"seed {WITNESS_SEED}: div peak {div_peak:.3g}, stable row err {row_err:.1e}",
+        result.ok,
+        result.detail,
     )
-    assert ok
+    assert result.ok
 
 
 def test_criterion_3_milk_matches_naive():
-    rng = np.random.default_rng(303)
-    worst = 0.0
-    worst_row = 0.0
-    for _ in range(100):
-        alpha = expected_alignment_stable(random_stepwise(rng, 5, 5))
-        u = rng.normal(0.0, 2.0, size=(5, 5))
-        beta = milk_soft_attention(alpha, u)
-        e = np.exp(u)
-        ref = np.zeros((5, 5))
-        for i in range(5):
-            for j in range(5):
-                acc = 0.0
-                for k in range(j, 5):
-                    acc += alpha[i, k] * e[i, j] / e[i, : k + 1].sum()
-                ref[i, j] = acc
-        worst = max(worst, float(np.abs(beta - ref).max()))
-        worst_row = max(worst_row, float(np.abs(beta.sum(axis=1) - 1.0).max()))
-    ok = worst < 1e-12 and worst_row < 1e-9
+    result = check_milk(100, seed=303)
     record_criterion(
         3,
         "soft attention matches the naive double loop on 100 random instances",
-        ok,
-        f"max err {worst:.2e}, row err {worst_row:.2e}",
+        result.ok,
+        result.detail,
     )
-    assert ok
+    assert result.ok
 
 
 def test_criterion_4_average_lagging_exact():
-    offline = average_lagging(DelayProfile((3000.0, 3000.0, 3000.0), 3000.0), 3)
-    wait1 = average_lagging(DelayProfile((1000.0, 2000.0, 3000.0), 3000.0), 3)
-    wait2 = average_lagging(DelayProfile((2000.0, 3000.0, 4000.0, 4000.0), 4000.0), 4)
-    ok = offline == 3000.0 and wait1 == 1000.0 and wait2 == 2000.0
-    seg = 700.0
-    m = 6
-    for k in range(1, m + 1):
-        g = consumed_before_write(wait_k_trace(k, m, m))
-        al = average_lagging(DelayProfile(tuple(x * seg for x in g), m * seg), m)
-        ok = ok and abs(al - k * seg) < 1e-9
+    examples = check_average_lagging_examples()
+    identity = check_waitk_al_property(6, 700.0)
+    ok = examples.ok and identity.ok
     record_criterion(
         4,
         "average lagging reproduces hand-worked values and the wait-k identity",
         ok,
-        f"offline {offline:.0f}, wait-1 {wait1:.0f}, wait-2 {wait2:.0f}, k identity to 1e-9",
+        f"{examples.detail}; {identity.detail} to 1e-9",
     )
     assert ok
 
@@ -142,8 +101,9 @@ def test_criterion_5_computation_aware_dominates():
         compute=ComputeModel(per_decision_ms=3.0, per_unit_ms=0.8),
     )
     worst = float("inf")
-    for result in run_corpus(corpus, config):
-        rep = result.report()
+    policy = policy_from_spec(config.policy)
+    for utt in corpus:
+        rep = run_session(utt, config, policy).report()
         worst = min(worst, rep.ca_al_ms - rep.al_ms)
     ok = worst >= -1e-9
     record_criterion(
@@ -256,7 +216,8 @@ def test_criterion_8_quality_latency_tradeoff():
     lagging = []
     for k in ks:
         config = SessionConfig(policy=PolicySpec("waitk", k=k))
-        results = run_corpus(corpus, config, WaitKPolicy(k))
+        policy = policy_from_spec(config.policy)
+        results = [run_session(utt, config, policy) for utt in corpus]
         quality.append(sum(r.quality for r in results) / len(results))
         lagging.append(sum(r.report().al_ms for r in results) / len(results))
     inversions = sum(1 for a, b in zip(quality, quality[1:]) if b < a - 1e-9)
@@ -300,27 +261,13 @@ def test_criterion_9_wire_equals_in_process():
 
 
 def test_criterion_10_emission_rate_properties():
-    corpus = generate_corpus(SyntheticTaskSpec(70, (6, 10), "identity"), 5, seed=23)
-    unit_us = 20_000
-    conserved = True
-    ordered = True
-    for utt in corpus:
-        n_units = utt.target_len * 5
-        delays = {}
-        for l in (1, 5, n_units):
-            config = SessionConfig(
-                policy=PolicySpec("waitk", k=2),
-                emission_rate_l=l,
-                units_per_token=5,
-                compute=ComputeModel(per_decision_ms=1.0, per_unit_ms=0.1),
-            )
-            result = run_session(utt, config, WaitKPolicy(2))
-            # vocoder_call rows: (t_us, wall_us, kind, n_units, start_us, end_us)
-            total = sum(e[5] - e[4] for e in result.events if e[2] == "vocoder_call")
-            conserved = conserved and total == n_units * unit_us
-            delays[l] = result.ideal_delays_us
-        ordered = ordered and all(a <= b for a, b in zip(delays[1], delays[n_units]))
-    ok = conserved and ordered
+    conservation = check_conservation()
+    # eager emission (l = 1) never delivers a token later than one call per utterance (l = N)
+    ordered = all(
+        all(a <= b for a, b in zip(eager.ideal_delays_us, lazy.ideal_delays_us))
+        for _, _, (eager, _, lazy) in emission_rate_sessions()
+    )
+    ok = conservation.ok and ordered
     record_criterion(
         10,
         "audio duration is conserved across emission rates and eager emission is never later",

@@ -3,6 +3,7 @@ import pytest
 
 from simulstream.actions import (
     Action,
+    InvalidTraceError,
     consumed_before_write,
     encode_trace,
     trace_from_consumption,
@@ -38,7 +39,7 @@ def test_wait_k_counts_always_complete(rng):
         m = int(rng.integers(1, 12))
         n = int(rng.integers(1, 12))
         trace = wait_k_trace(k, m, n)
-        assert validate_trace(trace, m, n).ok
+        validate_trace(trace, m, n)
         g = consumed_before_write(trace)
         assert g == [min(k + i - 1, m) for i in range(1, n + 1)]
 
@@ -63,11 +64,16 @@ def test_mask_all_true_when_k_reaches_source():
 
 
 def test_validate_trace_errors():
-    assert not validate_trace([], 1, 1).ok
-    assert not validate_trace([W, R], 1, 1).ok
-    assert not validate_trace([R, R], 1, 1).ok
-    assert validate_trace([R, W, W], 1, 2).ok
-    assert not validate_trace([R, W], 2, 2).ok
+    for trace, m, n, reason in [
+        ([], 1, 1, "empty trace"),
+        ([W, R], 1, 1, "trace must begin with READ"),
+        ([R, R], 1, 1, "read past source end at step 1"),
+        ([R, W, W], 1, 1, "write past target end at step 2"),
+        ([R, W], 2, 2, "incomplete trace: 1/2 reads, 1/2 writes"),
+    ]:
+        with pytest.raises(InvalidTraceError, match=f"^{reason}$"):
+            validate_trace(trace, m, n)
+    assert validate_trace([R, W, W], 1, 2) is None
 
 
 def test_trace_from_consumption_round_trip(rng):
@@ -76,7 +82,7 @@ def test_trace_from_consumption_round_trip(rng):
         n = int(rng.integers(1, 9))
         g = sorted(int(x) for x in rng.integers(1, m + 1, size=n))
         trace = trace_from_consumption(g, m)
-        assert validate_trace(trace, m, n).ok
+        validate_trace(trace, m, n)
         assert consumed_before_write(trace) == g
 
 

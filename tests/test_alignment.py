@@ -16,7 +16,7 @@ from simulstream.alignment import (
     spiky_low_probability_matrix,
     validate_stepwise,
 )
-from conftest import random_stepwise
+from simulstream.verification import random_stepwise
 
 
 def _oracle_by_stop_tuples(p):
@@ -70,14 +70,6 @@ def test_stable_matches_independent_oracle(rng):
         p = random_stepwise(rng, n, m)
         got = expected_alignment_stable(p)
         assert np.abs(got - _oracle_by_stop_tuples(p)).max() < 1e-12
-
-
-def test_package_enumerator_matches_stable(rng):
-    for _ in range(200):
-        n = int(rng.integers(1, 7))
-        m = int(rng.integers(1, 7))
-        p = random_stepwise(rng, n, m)
-        assert np.abs(expected_alignment_stable(p) - enumerate_alignment_oracle(p)).max() < 1e-9
 
 
 def test_stable_row_stochastic_large(rng):
@@ -154,29 +146,6 @@ def test_validate_stepwise_errors():
         enumerate_alignment_oracle(_closed(np.full((9, 9), 0.5)))
 
 
-def _milk_reference(a, u):
-    n, m = a.shape
-    beta = np.zeros((n, m))
-    for i in range(n):
-        for j in range(m):
-            s = 0.0
-            for k in range(j, m):
-                denom = np.exp(u[i, : k + 1]).sum()
-                s += a[i, k] * np.exp(u[i, j]) / denom
-            beta[i, j] = s
-    return beta
-
-
-def test_milk_matches_reference_double_loop(rng):
-    for _ in range(100):
-        p = random_stepwise(rng, 5, 5)
-        a = expected_alignment_stable(p)
-        u = rng.normal(0, 2, size=(5, 5))
-        beta = milk_soft_attention(a, u)
-        assert np.abs(beta - _milk_reference(a, u)).max() < 1e-12
-        assert np.abs(beta.sum(axis=1) - 1).max() < 1e-9
-
-
 def test_milk_trivial_cases():
     a = np.zeros((3, 4))
     a[:, 0] = 1.0  # all alignment mass on the first position
@@ -216,7 +185,7 @@ def test_milk_rejects_non_finite_alignment(bad):
         milk_soft_attention(bad, np.zeros(bad.shape))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("low", [-800.0, -720.0])
 def test_milk_rejects_an_energy_span_that_underflows(low):
     # exp(low) underflows to 0 (-800) or to a subnormal that 0.5 divided

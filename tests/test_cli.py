@@ -291,6 +291,13 @@ def test_empty_and_missing_corpus_fail_cleanly(tmp_path, capsys):
     with pytest.raises(SystemExit):
         main(["simulate", "--corpus", str(tmp_path / "nope.jsonl")])
     assert "cannot load corpus" in capsys.readouterr().err
+    # results with no session line: no CSV of a header alone
+    out = tmp_path / "eval.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--results", str(empty), "--out", str(out)])
+    assert exc.value.code == 2
+    assert _one_error_line(capsys) == f"error: results {empty} is empty\n"
+    assert not out.exists()
 
 
 def test_verify_command_passes(capsys):
@@ -391,6 +398,24 @@ def test_serve_once_exits_after_invalid_schedule(tmp_path, capsys):
     err = capsys.readouterr().err
     assert len([ln for ln in err.splitlines() if ln.startswith("failed:")]) == 1
     assert "Traceback" not in err
+
+
+def _exit_codes(argv) -> list:
+    """The exit codes main(argv) raised, run in a thread with a bounded join:
+    a serve --once that wrongly started would wait for a client forever."""
+    codes = []
+
+    def run():
+        try:
+            main(argv)
+        except SystemExit as exc:
+            codes.append(exc.code)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+    return codes
 
 
 def _one_error_line(capsys) -> str:
@@ -517,23 +542,30 @@ def test_malformed_corpus_line_is_one_error(tmp_path, capsys, command, bad, mess
     argv = [command, "--corpus", str(path)]
     if command == "serve":
         argv += ["--port", "0", "--once"]
-    # in a thread with a bounded join: a serve --once that wrongly accepted
-    # the corpus would wait for a client forever
-    codes = []
-
-    def run():
-        try:
-            main(argv)
-        except SystemExit as exc:
-            codes.append(exc.code)
-
-    thread = threading.Thread(target=run, daemon=True)
-    thread.start()
-    thread.join(timeout=10)
-    assert not thread.is_alive()
-    assert codes == [2]
+    assert _exit_codes(argv) == [2]
     err = _one_error_line(capsys)
     assert str(path) in err and message in err
+
+
+@pytest.mark.parametrize("fault", ["busy-port", "port-past-65535", "unknown-host"])
+def test_serve_bind_failure_is_one_error(tmp_path, capsys, monkeypatch, fault):
+    corpus = _gen(tmp_path, n=1)
+    with socket.create_server(("127.0.0.1", 0)) as busy:
+        host, port = "127.0.0.1", busy.getsockname()[1]
+        if fault == "port-past-65535":
+            port = 70000
+        elif fault == "unknown-host":
+            # looking the name up would ask a DNS server, so the bind fails
+            # here the way that lookup does
+            host = "256.1.1.1"
+
+            def bind(sock, address):
+                raise socket.gaierror(socket.EAI_NONAME, "Name or service not known")
+
+            monkeypatch.setattr(socket.socket, "bind", bind)
+        argv = ["serve", "--corpus", str(corpus), "--host", host, "--port", str(port), "--once"]
+        assert _exit_codes(argv) == [2]
+    assert _one_error_line(capsys).startswith(f"error: cannot serve on {host}:{port}: ")
 
 
 def _fake_server(reply):

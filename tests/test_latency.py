@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from simulstream.actions import consumed_before_write, wait_k_trace
 from simulstream.alignment import expected_alignment_stable
 from simulstream.latency import (
     DelayProfile,
@@ -28,23 +27,6 @@ def _al_reference(delays, t_x, n):
     # literal transcription of the definition, cutoff by first full-source delay
     tau = next((i for i, d in enumerate(delays, 1) if d >= t_x - 1e-9), len(delays))
     return sum(delays[i - 1] - (t_x / n) * (i - 1) for i in range(1, tau + 1)) / tau
-
-
-def test_hand_worked_schedules():
-    offline = DelayProfile((3000.0, 3000.0, 3000.0), 3000.0)
-    wait1 = DelayProfile((1000.0, 2000.0, 3000.0), 3000.0)
-    wait2 = DelayProfile((2000.0, 3000.0, 4000.0, 4000.0), 4000.0)
-    assert average_lagging(offline, 3) == pytest.approx(3000.0)
-    assert average_lagging(wait1, 3) == pytest.approx(1000.0)
-    assert average_lagging(wait2, 4) == pytest.approx(2000.0)
-
-
-def test_wait_k_lagging_is_k_segments():
-    m, seg = 8, 500.0
-    for k in range(1, m + 1):
-        g = consumed_before_write(wait_k_trace(k, m, m))
-        profile = DelayProfile(tuple(x * seg for x in g), m * seg)
-        assert average_lagging(profile, m) == pytest.approx(k * seg)
 
 
 def test_matches_reference_on_random_profiles(rng):

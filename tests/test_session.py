@@ -11,7 +11,6 @@ from simulstream.actions import (
     wait_k_trace,
 )
 from simulstream.corpus import SyntheticTaskSpec, Utterance, generate_corpus
-from simulstream.latency import average_lagging
 from simulstream.session import (
     GUESS_BASE,
     ComputeModel,
@@ -25,7 +24,6 @@ from simulstream.session import (
     discontinuity_report,
     policy_from_spec,
     recompute_result_from_events,
-    run_corpus,
     run_session,
     stable_utterance_seed,
     synthetic_hypothesis_token,
@@ -61,7 +59,7 @@ def test_wait1_hand_timeline():
     assert res.full_source_index == 2
     assert res.hypothesis == (50, 51)
     assert res.quality == pytest.approx(100.0)
-    assert average_lagging(res.ideal_profile, res.target_len) == pytest.approx(300.0)
+    assert res.report().al_ms == pytest.approx(300.0)
 
     total, count, biggest = discontinuity_report(res.events)
     # audio runs 300-340 then 600-640: one 260ms gap
@@ -111,7 +109,7 @@ def test_offline_policy_cuts_lagging_at_first_token():
     res = run_session(utt, _cfg(), OFFLINE)
     assert res.consumption == (3, 3, 3)
     assert res.full_source_index == 1
-    assert average_lagging(res.ideal_profile, 3) == pytest.approx(3000.0)
+    assert res.report().al_ms == pytest.approx(3000.0)
 
 
 def test_pre_decision_override():
@@ -144,10 +142,10 @@ def test_premature_writes_lower_quality():
 def test_invalid_schedule_rejected():
     utt = _utt()
     bad = ScriptedPolicy((Action.WRITE, Action.READ, Action.READ, Action.WRITE))
-    with pytest.raises(SessionError):
+    with pytest.raises(SessionError, match="invalid schedule: trace must begin with READ$"):
         run_session(utt, _cfg(), bad)
     short = ScriptedPolicy((Action.READ, Action.WRITE))
-    with pytest.raises(SessionError):
+    with pytest.raises(SessionError, match="invalid schedule: incomplete trace: 1/2 reads"):
         run_session(utt, _cfg(), short)
 
 
@@ -160,7 +158,9 @@ def test_event_log_replays_to_identical_metrics(rng):
         units_per_token=4,
         compute=ComputeModel(per_decision_ms=2.0, per_unit_ms=1.0),
     )
-    for res in run_corpus(corpus, cfg):
+    policy = policy_from_spec(cfg.policy)
+    for utt in corpus:
+        res = run_session(utt, cfg, policy)
         again = recompute_result_from_events(res)
         assert again.ideal_delays_us == res.ideal_delays_us
         assert again.ca_delays_us == res.ca_delays_us

@@ -47,8 +47,7 @@ def test_change_trace_counts_and_roundtrip(rng):
         trace = sample_change_trace(ConstantScorer(0.5), 0.4, m, n, int(rng.integers(2**31)))
         assert len(trace.changes) == m + n
         actions = change_to_actions(trace)
-        check = validate_trace(actions, m, n)
-        assert check.ok, check.reason
+        validate_trace(actions, m, n)
         back = actions_to_changes(actions)
         assert back.changes == trace.changes
         assert back.src_len == m and back.tgt_len == n
@@ -171,8 +170,10 @@ def test_change_frequency_increases_with_lambda():
 
 
 def test_change_to_actions_rejects_flip_at_start():
-    with pytest.raises(InvalidTraceError):
+    with pytest.raises(InvalidTraceError, match="^trace must begin with READ$"):
         change_to_actions(ChangeTrace((1, 0, 0, 0), 2, 2))
+    with pytest.raises(InvalidTraceError, match="^trace must begin with READ$"):
+        actions_to_changes([W, R])
 
 
 def test_change_trace_validates_lengths():

@@ -276,11 +276,15 @@ def _oversized(chan, utt):
     chan.wfile.flush()
 
 
-def _bool_seq_no(chan, utt):
-    # a bool is not an integer, so true is not sequence number 1
-    frame = {"type": "READ_REQ", "session_id": "", "seq_no": True, "body": {}}
-    chan.wfile.write(json.dumps(frame) + "\n")
-    chan.wfile.flush()
+def _read_req(**seq_no):
+    """A client that sends one READ_REQ frame with seq_no as given, or none."""
+
+    def client(chan, utt):
+        frame = {"type": "READ_REQ", "session_id": "", **seq_no, "body": {}}
+        chan.wfile.write(json.dumps(frame) + "\n")
+        chan.wfile.flush()
+
+    return client
 
 
 @pytest.mark.parametrize(
@@ -290,7 +294,9 @@ def _bool_seq_no(chan, utt):
         (_non_dict_body, "body is not an object"),
         (_silent, "timed out after 0.2 s"),
         (_oversized, "frame too long"),
-        (_bool_seq_no, "sequence number regression: True after 0"),
+        # a bool is not an integer, so true is not sequence number 1
+        (_read_req(seq_no=True), "sequence number True is not an integer"),
+        (_read_req(), "sequence number None is not an integer"),
         (
             _writes(lambda target: [str(target[0]), *(t + 0.5 for t in target[1:])]),
             "bad WRITE: token '",
@@ -300,8 +306,8 @@ def _bool_seq_no(chan, utt):
         (_writes(list, src_consumed=0), "bad WRITE: src_consumed 0 is not 1"),
     ],
     ids=[
-        "invalid-schedule", "non-dict-body", "silent", "oversized", "bool-seq-no", "string-token",
-        "fractional-token", "skipped-index", "wrong-src-consumed",
+        "invalid-schedule", "non-dict-body", "silent", "oversized", "bool-seq-no",
+        "missing-seq-no", "string-token", "fractional-token", "skipped-index", "wrong-src-consumed",
     ],
 )
 def test_bad_client_is_recorded_and_told(misbehave, reason, monkeypatch, capsys):
