@@ -303,7 +303,7 @@ def cmd_connect(args) -> int:
             out.write(report_csv_header() + "\n")
             for e in exchanges:  # run_client_session has checked each one
                 out.write(report_csv_row(*metrics_from_dict(e.server_metrics)) + "\n")
-    mismatched = [e for e in exchanges if e.max_field_gap() >= 1.0]
+    mismatched = [e for e in exchanges if e.max_field_gap() > 0]
     print(f"completed {len(exchanges)} sessions; {len(mismatched)} metric mismatches")
     return 1 if mismatched else 0
 

@@ -56,11 +56,6 @@ class Utterance:
     def target_len(self) -> int:
         return len(self.target_tokens)
 
-    @property
-    def source_duration_ms(self) -> float:
-        """Total input duration T_X."""
-        return len(self.source_tokens) * self.source_token_duration_ms
-
     def to_json(self) -> str:
         return json.dumps(
             {

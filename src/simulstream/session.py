@@ -5,8 +5,8 @@ source segments arrive at fixed intervals. Two clocks advance over the
 same event sequence:
 
 * the ideal clock moves only by waiting for segment arrivals;
-* the computation-aware clock additionally charges a compute model for
-  every decision and every synthesized unit.
+* the computation-aware clock additionally charges a fixed compute cost
+  for every decision and every synthesized unit (ComputeModel).
 
 Target tokens expand into a fixed number of discrete units; a synthesis
 stub is called once every emission_rate_l buffered units (plus a final
@@ -64,7 +64,6 @@ class SessionError(RuntimeError):
 
 PolicyKind = Literal["waitk", "offline", "vmma"]
 ScorerKind = Literal["oracle", "constant"]
-ComputeKind = Literal["fixed_cost", "measured_wallclock"]
 
 
 def _flag(default, flag: str, help: Optional[str] = None):
@@ -114,7 +113,6 @@ def _check_fields(obj) -> None:
 
 @dataclass(frozen=True)
 class ComputeModel:
-    kind: ComputeKind = _flag("fixed_cost", "--compute")
     per_decision_ms: float = _flag(0.0, "--per-decision-ms")
     per_unit_ms: float = _flag(0.0, "--per-unit-ms")
 
@@ -435,17 +433,14 @@ def run_session(utterance: Utterance, config: SessionConfig, policy: Policy) -> 
 
     seg_ms = config.pre_decision_ms or utterance.source_token_duration_ms
     seg_us = _us(seg_ms)
+    if seg_us < 1:  # no source time would pass, and report() rejects a zero duration
+        raise SessionError(f"source segment of {seg_ms} ms rounds to 0 us")
     unit_us = _us(config.unit_ms)
     upt = config.units_per_token
     l = config.emission_rate_l
     dec_us = _us(config.compute.per_decision_ms)
     per_unit_us = _us(config.compute.per_unit_ms)
     call_us, span_us = l * per_unit_us, l * unit_us  # compute and playback of a full call
-    measured = config.compute.kind == "measured_wallclock"
-    if measured:
-        from time import perf_counter
-
-        last_perf = perf_counter()
 
     t_ideal = 0
     t_ca = 0
@@ -458,10 +453,6 @@ def run_session(utterance: Utterance, config: SessionConfig, policy: Policy) -> 
     hypothesis: list[int] = []
 
     for a in trace:
-        if measured:  # each decision costs the wall time since the last one
-            now = perf_counter()
-            dec_us = _us((now - last_perf) * 1000)
-            last_perf = now
         if a is READ:
             r += 1
             arr = r * seg_us

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, combinations_with_replacement
 from typing import Callable, Iterator, Protocol, Sequence
 
 import numpy as np
@@ -358,22 +358,12 @@ def enumerate_traces(M: int, N: int, limit: int = 12) -> list[list[Action]]:
         raise ValueError(f"enumeration needs M, N >= 1, got {M}x{N}")
     if M > limit or N > limit:
         raise ValueError(f"enumeration limited to {limit}, got {M}x{N}")
-    out: list[list[Action]] = []
-
-    def walk(w, r, prefix):
-        if w == N and r == M:
-            out.append(list(prefix))
-            return
-        if r < M and w < N and r > 0:
-            walk(w, r + 1, prefix + [Action.READ])
-            walk(w + 1, r, prefix + [Action.WRITE])
-        elif r == 0 or w == N:
-            walk(w, r + 1, prefix + [Action.READ])
-        else:  # r == M, w < N
-            walk(w + 1, r, prefix + [Action.WRITE])
-
-    walk(0, 0, [])
-    return out
+    # consumption vectors in descending lexicographic order: the depth-first
+    # order of a walk that tries READ before WRITE
+    return [
+        trace_from_consumption(g, M)
+        for g in reversed(list(combinations_with_replacement(range(1, M + 1), N)))
+    ]
 
 
 def estimate_elbo(

@@ -8,6 +8,7 @@ import pytest
 
 from simulstream.cli import main
 from simulstream.corpus import read_corpus
+from simulstream.latency import report_csv_header
 from simulstream.wire import ProtocolError, _Channel
 
 
@@ -279,6 +280,14 @@ def test_config_file_errors_are_actionable(tmp_path, capsys):
     with pytest.raises(SystemExit):
         main(["simulate", "--corpus", str(corpus), "--config", str(unknown_key)])
     assert "bogus" in capsys.readouterr().err
+
+    compute_kind = tmp_path / "kind.json"
+    compute_kind.write_text(json.dumps({"compute": {"kind": "fixed_cost"}}))
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--corpus", str(corpus), "--config", str(compute_kind)])
+    assert exc.value.code == 2
+    err = _one_error_line(capsys)
+    assert err == f"error: config {compute_kind}: unknown key 'kind' at $['compute']\n"
 
 
 def test_empty_and_missing_corpus_fail_cleanly(tmp_path, capsys):
@@ -612,6 +621,7 @@ def test_connect_errors_are_one_line(tmp_path, capsys):
         closed_port = probe.getsockname()[1]
     utterance = json.loads(read_corpus(str(_gen(tmp_path, n=1)))[0].to_json())
     bad_hello = {"done": False, "utterance": utterance, "config": {"policy": {"kind": "psychic"}}}
+    compute_kind = {"compute": {"kind": "fixed_cost"}}
     float_token = dict(bad_hello, utterance=dict(utterance, source=[1.5, *utterance["source"][1:]]))
     segment = lambda r: {"index": r, "payload": 0, "arrival_ms": 0.0}
     metrics = {
@@ -629,6 +639,10 @@ def test_connect_errors_are_one_line(tmp_path, capsys):
             _fake_server(lambda chan: chan.send("HELLO", bad_hello)),
             "bad HELLO config: 'psychic' is not one of ['waitk', 'offline', 'vmma']"
             " at $['policy']['kind']",
+        ),
+        "hello-compute-kind": (
+            _fake_server(lambda chan: chan.send("HELLO", dict(bad_hello, config=compute_kind))),
+            "bad HELLO config: unknown key 'kind' at $['compute']",
         ),
         "bad-hello-utterance": (
             _fake_server(lambda chan: chan.send("HELLO", {"utterance": {"id": "u"}, "config": {}})),
@@ -661,6 +675,39 @@ def test_connect_errors_are_one_line(tmp_path, capsys):
         assert exc.value.code == 2, name
         err = _one_error_line(capsys)
         assert f"127.0.0.1:{port}" in err and message in err, name
+
+
+def test_connect_counts_any_metric_gap(tmp_path, capsys):
+    from simulstream.latency import metrics_to_dict
+    from simulstream.session import SessionConfig, WaitKPolicy, run_session
+
+    utt = read_corpus(str(_gen(tmp_path, n=1)))[0]
+    true = run_session(utt, SessionConfig(), WaitKPolicy(1))
+    metrics = {**metrics_to_dict(utt.id, true.report(), true.quality), "remaining": 0}
+    segment = lambda r: {"index": r, "payload": 0, "arrival_ms": 0.0}
+    utterance = json.loads(utt.to_json())
+    for al_gap, mismatches in ((0.0, 0), (0.001, 1)):
+        off = dict(metrics, al_ms=metrics["al_ms"] + al_gap)
+        port = _fake_server(_fake_session(utterance, segment, off))
+        assert main(["connect", "--port", str(port)]) == mismatches
+        assert f"completed 1 sessions; {mismatches} metric mismatches" in capsys.readouterr().out
+
+
+def test_segment_that_rounds_to_zero_fails_each_session(tmp_path, capsys):
+    corpus = _gen(tmp_path, n=3)
+    flags = ["--corpus", str(corpus), "--pre-decision-ms", "0.0001"]
+    results, csv, swept = tmp_path / "r.jsonl", tmp_path / "r.csv", tmp_path / "s.csv"
+    simulate = ["simulate", *flags, "--out-results", str(results), "--out-csv", str(csv)]
+    sweep = ["sweep", *flags, "--family", "waitk", "--grid", "1,2", "--out", str(swept)]
+    for argv, failed in ((simulate, 3), (sweep, 6)):
+        assert main(argv) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == failed  # one per session, and no traceback
+        for line in lines:
+            assert line.startswith("failed: ")
+            assert line.endswith(": source segment of 0.0001 ms rounds to 0 us")
+    assert results.read_text() == ""
+    assert csv.read_text().splitlines() == [report_csv_header()]
 
 
 def test_sweep_exits_1_when_a_grid_point_fails(tmp_path, capsys, monkeypatch):

@@ -29,7 +29,6 @@ CONFIG_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "kind": {"enum": ["fixed_cost", "measured_wallclock"]},
                 "per_decision_ms": {"type": "number", "minimum": 0},
                 "per_unit_ms": {"type": "number", "minimum": 0},
             },
@@ -56,7 +55,7 @@ DEFAULTS = {
     "emission_rate_l": 1,
     "unit_ms": 20.0,
     "units_per_token": 5,
-    "compute": {"kind": "fixed_cost", "per_decision_ms": 0.0, "per_unit_ms": 0.0},
+    "compute": {"per_decision_ms": 0.0, "per_unit_ms": 0.0},
     "policy": {
         "kind": "waitk",
         "k": 1,
@@ -123,7 +122,6 @@ VALID = st.fixed_dictionaries(
         "compute": st.fixed_dictionaries(
             {},
             optional={
-                "kind": st.sampled_from(["fixed_cost", "measured_wallclock"]),
                 "per_decision_ms": _numbers(0.0, 50.0),
                 "per_unit_ms": _numbers(0.0, 50.0),
             },

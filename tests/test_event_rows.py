@@ -5,8 +5,6 @@ import dataclasses
 import hashlib
 import json
 import re
-import time
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -39,18 +37,8 @@ def _dict_engine(utterance, config, trace):
     seg_us = us(config.pre_decision_ms or utterance.source_token_duration_ms)
     unit_us, upt, l = us(config.unit_ms), config.units_per_token, config.emission_rate_l
     dec_us, per_unit_us = us(config.compute.per_decision_ms), us(config.compute.per_unit_ms)
-    measured = config.compute.kind == "measured_wallclock"
-    last_perf = time.perf_counter() if measured else None
     t_ideal = t_ca = r = w = buffered = audio_end = 0
     events, hypothesis = [], []
-
-    def charge_decision():
-        nonlocal last_perf
-        if measured:
-            now = time.perf_counter()
-            delta, last_perf = us((now - last_perf) * 1000), now
-            return delta
-        return dec_us
 
     def vocoder_flush(n_units):
         nonlocal t_ca, buffered, audio_end
@@ -65,11 +53,11 @@ def _dict_engine(utterance, config, trace):
         if a is Action.READ:
             r += 1
             t_ideal = max(t_ideal, r * seg_us)
-            t_ca = max(t_ca, r * seg_us) + charge_decision()
+            t_ca = max(t_ca, r * seg_us) + dec_us
             events.append((t_ideal, t_ca, "read", {"index": r}))
         else:
             w += 1
-            t_ca += charge_decision()
+            t_ca += dec_us
             hypothesis.append(synthetic_hypothesis_token(utterance, w, r))
             events.append((t_ideal, t_ca, "write", {"token": w, "n_units": upt, "src_consumed": r}))
             buffered += upt
@@ -131,12 +119,6 @@ def _dict_to_json(events, fields):
     return json.dumps(record, sort_keys=True)
 
 
-def _fake_clock():
-    """A perf_counter that steps by an irregular, repeatable amount."""
-    ticks = iter(range(1, 1 << 30))
-    return lambda: next(ticks) * 0.000731 + (next(ticks) % 7) * 0.0000137
-
-
 @st.composite
 def _sessions(draw):
     m = draw(st.integers(1, 9))
@@ -151,7 +133,6 @@ def _sessions(draw):
         oracle_alignment=tuple(align),
     )
     upt = draw(st.integers(1, 6))
-    kind = draw(st.sampled_from(["fixed_cost", "measured_wallclock"]))
     ms = st.sampled_from([0.0, 0.25, 1.5, 7.0, 400.0])
     config = SessionConfig(
         policy=PolicySpec("waitk", k=1),
@@ -159,16 +140,14 @@ def _sessions(draw):
         emission_rate_l=draw(st.integers(1, n * upt + 2)),
         unit_ms=draw(st.sampled_from([20.0, 12.5, 80.0])),
         units_per_token=upt,
-        compute=ComputeModel(kind, per_decision_ms=draw(ms), per_unit_ms=draw(ms)),
+        compute=ComputeModel(per_decision_ms=draw(ms), per_unit_ms=draw(ms)),
     )
     return utt, config, trace_from_consumption(g, m)
 
 
 def _run_both(utt, config, trace):
-    with mock.patch("time.perf_counter", _fake_clock()):
-        res = run_session(utt, config, ScriptedPolicy(tuple(trace)))
-    with mock.patch("time.perf_counter", _fake_clock()):
-        events, fields = _dict_engine(utt, config, trace)
+    res = run_session(utt, config, ScriptedPolicy(tuple(trace)))
+    events, fields = _dict_engine(utt, config, trace)
     return res, events, fields
 
 
