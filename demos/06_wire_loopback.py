@@ -1,9 +1,10 @@
 """Networked evaluation over the JSON-lines wire protocol.
 
 The server owns the corpus and the timing engine; the client makes the
-read/write decisions. After the client finishes, the server replays the
-decision log through the same engine, so both sides must report the
-same metrics. Any per-field gap means the harness is broken.
+read/write decisions. The server takes each decision as a step of the
+engine as it arrives, and the client replays its own plan through the
+same engine, so both sides must report the same metrics. Any per-field
+gap means the harness is broken.
 """
 
 from simulstream import (

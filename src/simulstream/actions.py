@@ -24,26 +24,45 @@ class InvalidTraceError(ValueError):
     pass
 
 
+class ReadWritePath:
+    """A read/write path over M segments and N tokens, taken in steps: the
+    rules of a legal complete trace, stated once. take and end raise
+    InvalidTraceError, naming the fault, at the first illegal step."""
+
+    def __init__(self, M: int, N: int):
+        self.M, self.N, self.reads, self.writes = M, N, 0, 0
+
+    def take(self, actions: Sequence[Action]) -> None:
+        """Each action as the next step; all of them, or none if one is illegal."""
+        M, N, reads, writes = self.M, self.N, self.reads, self.writes
+        READ = Action.READ  # a local: an Enum member lookup costs more than the loop's test
+        if not reads and actions and actions[0] is not READ:  # only a first step precedes them all
+            raise InvalidTraceError("trace must begin with READ")
+        for a in actions:
+            if a is READ:
+                if reads == M:
+                    raise InvalidTraceError(f"read past source end at step {reads + writes}")
+                reads += 1
+            else:
+                if writes == N:
+                    raise InvalidTraceError(f"write past target end at step {reads + writes}")
+                writes += 1
+        self.reads, self.writes = reads, writes
+
+    def end(self) -> None:
+        r, w, M, N = self.reads, self.writes, self.M, self.N
+        if not r + w:
+            raise InvalidTraceError("empty trace")
+        if r != M or w != N:
+            raise InvalidTraceError(f"incomplete trace: {r}/{M} reads, {w}/{N} writes")
+
+
 def validate_trace(actions: Sequence[Action], M: int, N: int) -> None:
     """Raise InvalidTraceError, naming the fault, unless actions is a legal
     complete trace over M segments and N tokens."""
-    READ = Action.READ  # a local: an Enum member lookup costs more than the loop's test
-    reads = writes = 0
-    if not actions:
-        raise InvalidTraceError("empty trace")
-    if actions[0] is not READ:
-        raise InvalidTraceError("trace must begin with READ")
-    for t, a in enumerate(actions):
-        if a is READ:
-            reads += 1
-            if reads > M:
-                raise InvalidTraceError(f"read past source end at step {t}")
-        else:
-            writes += 1
-            if writes > N:
-                raise InvalidTraceError(f"write past target end at step {t}")
-    if reads != M or writes != N:
-        raise InvalidTraceError(f"incomplete trace: {reads}/{M} reads, {writes}/{N} writes")
+    path = ReadWritePath(M, N)
+    path.take(actions)
+    path.end()
 
 
 def consumed_before_write(actions: Sequence[Action]) -> list[int]:

@@ -1,8 +1,9 @@
 """Streaming session simulation with dual clocks.
 
-A session replays a read/write schedule against an utterance whose
-source segments arrive at fixed intervals. Two clocks advance over the
-same event sequence:
+A Session takes a read/write schedule a step at a time, from a policy's
+plan (run_session) or a wire client's messages, against an utterance
+whose source segments arrive at fixed intervals. Two clocks advance over
+the same event sequence:
 
 * the ideal clock moves only by waiting for segment arrivals;
 * the computation-aware clock additionally charges a fixed compute cost
@@ -47,7 +48,7 @@ from itertools import chain
 from operator import itemgetter
 from typing import Literal, Optional, Protocol, Sequence, Union, get_args, get_origin, get_type_hints
 
-from .actions import Action, InvalidTraceError, validate_trace, wait_k_trace
+from .actions import Action, InvalidTraceError, ReadWritePath, wait_k_trace
 from .corpus import INTS, Utterance, quality_score
 from .latency import DelayProfile, LatencyReport, build_report
 from .latency import checked_field, is_int, is_number
@@ -108,7 +109,10 @@ def _checked(rule, value, where: str):
 def _check_fields(obj) -> None:
     for name, rule in _rules(type(obj)).items():
         if not is_dataclass(rule[0]):
-            _checked(rule, getattr(obj, name), f"{type(obj).__name__}.{name}")
+            value = _checked(rule, getattr(obj, name), f"{type(obj).__name__}.{name}")
+            # the engine counts whole us (see _us): a nonzero time must not silently become 0
+            if name.endswith("_ms") and value and 0 < value * 1000 <= 0.5:  # rounds to 0 us
+                raise ValueError(f"{name} {value!r} rounds to 0 us")
 
 
 @dataclass(frozen=True)
@@ -253,8 +257,7 @@ class VmmaPolicy:
 
 @dataclass(frozen=True)
 class ScriptedPolicy:
-    """Replays a fixed schedule; used by the wire server to re-derive
-    metrics from a client's decision log."""
+    """Replays a fixed schedule, such as the plan a wire client has sent."""
 
     actions: tuple[Action, ...]
 
@@ -422,74 +425,94 @@ class SessionResult:
 _STORED_KEYS = {"events", "hypothesis", "id", "quality", "source_duration_us", "src_len", "tgt_len"}
 
 
+class Session(ReadWritePath):
+    """The engine: one utterance's session, taken in steps. ReadWritePath
+    checks them first, raising InvalidTraceError before anything moves if
+    one is illegal; then each moves the clocks and logs what it did."""
+
+    def __init__(self, utterance: Utterance, config: SessionConfig):
+        ReadWritePath.__init__(self, utterance.source_len, utterance.target_len)
+        seg_ms = config.pre_decision_ms or utterance.source_token_duration_ms
+        self.seg_us = _us(seg_ms)
+        if self.seg_us < 1:  # no source time would pass, and report() rejects a zero duration
+            raise SessionError(f"source segment of {seg_ms} ms rounds to 0 us")
+        compute = config.compute
+        self.dec_us, self.per_unit_us = _us(compute.per_decision_ms), _us(compute.per_unit_ms)
+        self.unit_us = _us(config.unit_ms)
+        self.upt, self.l = config.units_per_token, config.emission_rate_l
+        self.utterance, self.events, self.hypothesis = utterance, [], []
+        self.clocks = (0, 0, 0, 0)  # see take
+
+    def read(self) -> int:
+        """Consume the next source segment; return its arrival time in us."""
+        return self.take((Action.READ,))
+
+    def write(self) -> int:
+        """Write the next target token; return the stub's token."""
+        return self.take((Action.WRITE,))
+
+    def take(self, actions: Sequence[Action]) -> Optional[int]:
+        """Each action as a step; the last one's arrival time or token."""
+        r, w, READ = self.reads, self.writes, Action.READ
+        ReadWritePath.take(self, actions)
+        utt, N, seg_us, dec_us = self.utterance, self.N, self.seg_us, self.dec_us
+        upt, l, unit_us, per_unit_us = self.upt, self.l, self.unit_us, self.per_unit_us
+        call_us, span_us = l * per_unit_us, l * unit_us  # compute and playback of a full call
+        # the two clocks, the units not yet synthesized, the end of the last playback
+        t_ideal, t_ca, buffered, audio_end = self.clocks
+        log, say, last = self.events.append, self.hypothesis.append, None
+        for a in actions:
+            if a is READ:
+                r += 1
+                last = arr = r * seg_us
+                if t_ideal < arr:
+                    t_ideal = arr
+                t_ca = (t_ca if t_ca > arr else arr) + dec_us
+                log((t_ideal, t_ca, "read", r))
+            else:
+                w += 1
+                t_ca += dec_us
+                last = synthetic_hypothesis_token(utt, w, r)
+                say(last)
+                log((t_ideal, t_ca, "write", w, upt, r))
+                buffered += upt
+                # a vocoder call per emission_rate_l units; after the last
+                # token nothing further can arrive, so one more emits the tail
+                while buffered >= l:
+                    buffered -= l
+                    t_ca += call_us
+                    start = t_ca if t_ca > audio_end else audio_end
+                    audio_end = start + span_us
+                    log((t_ideal, t_ca, "vocoder_call", l, start, audio_end))
+                if buffered and w == N:
+                    t_ca += buffered * per_unit_us
+                    start = t_ca if t_ca > audio_end else audio_end
+                    audio_end = start + buffered * unit_us
+                    log((t_ideal, t_ca, "vocoder_call", buffered, start, audio_end))
+        self.clocks = t_ideal, t_ca, buffered, audio_end
+        return last
+
+    def end(self) -> SessionResult:
+        """The session's result, once every segment is read and every token written."""
+        ReadWritePath.end(self)
+        utt, hypothesis, M = self.utterance, self.hypothesis, self.M
+        return SessionResult(
+            utterance_id=utt.id, source_len=M, target_len=self.N,
+            source_duration_us=M * self.seg_us, events=tuple(self.events),
+            hypothesis=tuple(hypothesis), quality=quality_score(hypothesis, utt.target_tokens),
+            **fold_events(self.events),
+        )
+
+
 def run_session(utterance: Utterance, config: SessionConfig, policy: Policy) -> SessionResult:
-    """Drive one utterance through a policy schedule and log everything."""
+    """Drive one utterance through a policy schedule, a Session step per action."""
     trace = policy.plan(utterance)
-    M, N = utterance.source_len, utterance.target_len
+    session = Session(utterance, config)
     try:
-        validate_trace(trace, M, N)
+        session.take(trace)
+        return session.end()
     except InvalidTraceError as exc:
         raise SessionError(f"policy produced an invalid schedule: {exc}") from None
-
-    seg_ms = config.pre_decision_ms or utterance.source_token_duration_ms
-    seg_us = _us(seg_ms)
-    if seg_us < 1:  # no source time would pass, and report() rejects a zero duration
-        raise SessionError(f"source segment of {seg_ms} ms rounds to 0 us")
-    unit_us = _us(config.unit_ms)
-    upt = config.units_per_token
-    l = config.emission_rate_l
-    dec_us = _us(config.compute.per_decision_ms)
-    per_unit_us = _us(config.compute.per_unit_ms)
-    call_us, span_us = l * per_unit_us, l * unit_us  # compute and playback of a full call
-
-    t_ideal = 0
-    t_ca = 0
-    r = w = 0
-    events: list[tuple] = []
-    log = events.append
-    READ = Action.READ
-    buffered = 0  # units written but not yet synthesized
-    audio_end = 0  # end of the last playback span
-    hypothesis: list[int] = []
-
-    for a in trace:
-        if a is READ:
-            r += 1
-            arr = r * seg_us
-            if t_ideal < arr:
-                t_ideal = arr
-            t_ca = (t_ca if t_ca > arr else arr) + dec_us
-            log((t_ideal, t_ca, "read", r))
-        else:
-            w += 1
-            t_ca += dec_us
-            hypothesis.append(synthetic_hypothesis_token(utterance, w, r))
-            log((t_ideal, t_ca, "write", w, upt, r))
-            buffered += upt
-            # a vocoder call per emission_rate_l units; after the last
-            # token nothing further can arrive, so one more emits the tail
-            while buffered >= l:
-                buffered -= l
-                t_ca += call_us
-                start = t_ca if t_ca > audio_end else audio_end
-                audio_end = start + span_us
-                log((t_ideal, t_ca, "vocoder_call", l, start, audio_end))
-            if buffered and w == N:
-                t_ca += buffered * per_unit_us
-                start = t_ca if t_ca > audio_end else audio_end
-                audio_end = start + buffered * unit_us
-                log((t_ideal, t_ca, "vocoder_call", buffered, start, audio_end))
-
-    return SessionResult(
-        utterance_id=utterance.id,
-        source_len=M,
-        target_len=N,
-        source_duration_us=M * seg_us,
-        events=tuple(events),
-        hypothesis=tuple(hypothesis),
-        quality=quality_score(hypothesis, utterance.target_tokens),
-        **fold_events(events),
-    )
 
 
 def fold_events(events: Sequence[tuple]) -> dict:

@@ -12,28 +12,30 @@ config; the client is the deciding agent. Flow:
     either -> ERROR     {reason}            (then the sender closes)
 
 Both ends stamp messages with per-direction sequence numbers and reject
-regressions. The server re-derives metrics by replaying the client's
-decision sequence through the same timing engine, so a correct client
-sees METRICS identical to its own in-process numbers. `remaining` counts
-the utterances no client has claimed yet; at 0 a client stops without
-another connection, so it never races a `serve --once` that has exited.
+regressions. The server takes each message as one step of the session
+engine (session.Session): SEGMENTs carry its arrival times and METRICS
+its result, so a correct client sees its own in-process numbers.
+`remaining` counts the utterances no client has claimed yet; at 0 a
+client stops without another connection, so it never races a `serve
+--once` that has exited.
 
 A session fails when its client breaks the protocol, sends a WRITE
 whose token is not an integer or whose token_index or src_consumed is
-not the server's count, sends a schedule the engine rejects, stays
-silent for `READ_TIMEOUT_S` or sends a line longer than
-`MAX_FRAME_BYTES`. The server records `"<id>: <reason>"` in
-`failures`, sends ERROR on a best-effort basis, half-closes and discards
-the client's input until it closes too (at most `LINGER_S` and
-`LINGER_MAX_BYTES`), so a client still sending reads the ERROR line
-rather than a connection reset; its `recv` raises
-`ProtocolError("peer error: <reason>")`. A client raises
+not the server's count, makes a move the engine rejects (a WRITE before
+any READ or past the target end, or EOS_TGT too early) or writes a
+token other than the engine's, each at that message, stays silent for
+`READ_TIMEOUT_S` or sends a line longer than `MAX_FRAME_BYTES`. The
+server records `"<id>: <reason>"` in `failures`, sends ERROR on a
+best-effort basis, half-closes and discards the client's input until it
+closes too (at most `LINGER_S` and `LINGER_MAX_BYTES`), so a client still
+sending reads the ERROR line rather than a connection reset; its `recv`
+raises `ProtocolError("peer error: <reason>")`. A client raises
 `ProtocolError("bad <part>: ...")` for a HELLO utterance that does not
 parse or config that `config_from_dict` rejects, a SEGMENT without an
-integer index and a METRICS that `latency.metrics_from_dict` rejects
-or that names another session. Sockets run with
-TCP_NODELAY: a session is a chain of small request/reply messages, and
-Nagle's algorithm would hold each one back for the peer's delayed ACK.
+integer index and a METRICS that `latency.metrics_from_dict` rejects or
+that names another session. Sockets run with TCP_NODELAY: a session is a
+chain of small request/reply messages, and Nagle's algorithm would hold
+each one back for the peer's delayed ACK.
 """
 
 from __future__ import annotations
@@ -48,10 +50,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .corpus import Utterance
-from .actions import Action
+from .actions import Action, InvalidTraceError
 from .latency import REPORT_CSV_COLUMNS, checked_field, is_int, metrics_from_dict, metrics_to_dict
 from .session import (
     ScriptedPolicy,
+    Session,
     SessionConfig,
     SessionResult,
     config_from_dict,
@@ -220,53 +223,45 @@ class EvalServer:
                     "config": config_to_dict(self.config),
                 },
             )
-            seg_ms = self.config.pre_decision_ms or utt.source_token_duration_ms
-            READ, WRITE = Action.READ, Action.WRITE  # locals: an Enum member lookup costs more
-            actions: list[Action] = []
-            tokens: list[int] = []
-            r = 0
+            session = Session(utt, self.config)
             t0 = time.monotonic()
             while True:
                 msg_type, body = chan.recv()
                 if msg_type == "READ_REQ":
-                    if r >= utt.source_len:
+                    if session.reads == session.M:
                         chan.send("EOS_SRC", {})
                         continue
-                    r += 1
-                    actions.append(READ)
+                    arrival_us = session.read()
+                    r = session.reads
                     if not self.fast_forward:
-                        wait_s = (r * seg_ms) / 1000 - (time.monotonic() - t0)
+                        wait_s = arrival_us / 1e6 - (time.monotonic() - t0)
                         if wait_s > 0:
                             time.sleep(wait_s)
-                    chan.send(
-                        "SEGMENT",
-                        {
-                            "index": r,
-                            "payload": utt.source_tokens[r - 1],
-                            "arrival_ms": r * seg_ms,
-                        },
-                    )
+                    arrival_ms, payload = arrival_us / 1000, utt.source_tokens[r - 1]
+                    chan.send("SEGMENT", {"index": r, "payload": payload, "arrival_ms": arrival_ms})
                 elif msg_type == "WRITE":
-                    w = len(tokens) + 1
+                    w, r = session.writes + 1, session.reads
                     try:  # as _reading does, without its generator: a WRITE comes per token
-                        tokens.append(checked_field(body, "token", is_int, "an integer"))
+                        token = checked_field(body, "token", is_int, "an integer")
                         checked_field(body, "token_index", lambda v: is_int(v) and v == w, f"{w}")
                         checked_field(body, "src_consumed", lambda v: is_int(v) and v == r, f"{r}")
                     except ValueError as exc:
                         raise ProtocolError(f"bad WRITE: {exc}") from None
-                    actions.append(WRITE)
+                    stub = session.write()
+                    if token != stub:
+                        raise ProtocolError(f"client token {token} disagrees with stub {stub}")
                 elif msg_type == "EOS_TGT":
                     break
                 else:
                     raise ProtocolError(f"unexpected {msg_type} from client")
-            result = run_session(utt, self.config, ScriptedPolicy(tuple(actions)))
-            if list(result.hypothesis) != tokens:
-                raise ProtocolError("client tokens disagree with replay")
+            result = session.end()
             remaining = len(self.corpus) - self._next
             chan.send("METRICS", {**_metrics_body(result), "remaining": remaining})
         except Exception as exc:  # one bad session must not take the server down
             if isinstance(exc, ProtocolError):
                 reason = str(exc)
+            elif isinstance(exc, InvalidTraceError):  # a step of the session engine
+                reason = f"invalid schedule: {exc}"
             elif isinstance(exc, TimeoutError):
                 reason = f"timed out after {READ_TIMEOUT_S:g} s"
             else:

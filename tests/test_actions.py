@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simulstream.actions import (
     Action,
     InvalidTraceError,
+    ReadWritePath,
     consumed_before_write,
     encode_trace,
     trace_from_consumption,
@@ -74,6 +77,51 @@ def test_validate_trace_errors():
         with pytest.raises(InvalidTraceError, match=f"^{reason}$"):
             validate_trace(trace, m, n)
     assert validate_trace([R, W, W], 1, 2) is None
+
+
+def _reference_fault(actions, M, N):
+    """The fault validate_trace named when it was one loop over the whole
+    trace, or None for a legal one."""
+    reads = writes = 0
+    if not actions:
+        return "empty trace"
+    if actions[0] is not R:
+        return "trace must begin with READ"
+    for t, a in enumerate(actions):
+        if a is R:
+            reads += 1
+            if reads > M:
+                return f"read past source end at step {t}"
+        else:
+            writes += 1
+            if writes > N:
+                return f"write past target end at step {t}"
+    if reads != M or writes != N:
+        return f"incomplete trace: {reads}/{M} reads, {writes}/{N} writes"
+    return None
+
+
+def _fault(check):
+    try:
+        check()
+    except InvalidTraceError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.sampled_from([R, W]), max_size=9), st.integers(0, 4), st.integers(0, 4))
+def test_path_steps_fault_as_the_whole_trace_check_did(actions, m, n):
+    # the wire server takes one step per message, run_session a whole plan at once
+    def one_step_at_a_time():
+        path = ReadWritePath(m, n)
+        for a in actions:
+            path.take((a,))
+        path.end()
+
+    want = _reference_fault(actions, m, n)
+    assert _fault(lambda: validate_trace(actions, m, n)) == want
+    assert _fault(one_step_at_a_time) == want
 
 
 def test_trace_from_consumption_round_trip(rng):

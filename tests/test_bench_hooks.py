@@ -9,6 +9,8 @@ import sys
 from pathlib import Path
 
 from simulstream import cli, corpus, latency, session, wire
+from simulstream.corpus import SyntheticTaskSpec, generate_corpus
+from simulstream.session import SessionConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = (cli, corpus, latency, session, wire)
@@ -69,3 +71,22 @@ def test_instrument_patches_entry_points_and_restores_them(tmp_path, monkeypatch
         "session.run", "session.recompute", "session.to_json", "session.from_json",
         "latency.report", "plan.waitk", "plan.vmma", "corpus.read", "corpus.quality",
     } <= names
+
+
+def test_wire_sessions_are_traced_in_process(monkeypatch):
+    # the wire-loopback workload times the client's recv and its local replay
+    # by these names; the server steps its own engine, so only the client
+    # replays, once per session
+    tracing = _load_tracing(monkeypatch)
+    utterances = generate_corpus(SyntheticTaskSpec(60, (3, 6), "random-monotone"), 3, seed=4)
+    tracer = tracing.Tracer()
+    with tracing.instrument(tracer):
+        server = wire.serve("127.0.0.1", 0, utterances, SessionConfig())
+        try:
+            exchanges = wire.connect(*server.address)
+        finally:
+            server.shutdown()
+    assert len(exchanges) == 3 and server.failures == []
+    assert all(e.max_field_gap() == 0 for e in exchanges)
+    names = [span[tracing.NAME] for span in tracer.spans]
+    assert names.count("session.run") == 3 and "wire.recv" in names

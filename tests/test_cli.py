@@ -1,8 +1,12 @@
 import hashlib
 import json
+import os
 import socket
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +34,33 @@ def test_gen_corpus_writes_deterministic_jsonl(tmp_path):
     corpus = read_corpus(str(a))
     assert len(corpus) == 8
     assert all(u.source_len >= 6 for u in corpus)
+
+
+def test_vmma_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    # str hashes change from one process to the next unless PYTHONHASHSEED
+    # pins them; the same seeds must give the same bytes in any process
+    corpus = _gen(tmp_path, n=6, kind="random-monotone", noise_rate=0.4)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outputs = []
+    for hash_seed in ("1", "2"):
+        out = tmp_path / f"hash-seed-{hash_seed}"
+        out.mkdir()
+        vmma = ["--policy", "vmma", "--lam", "0.3", "--per-decision-ms", "1.5"]
+        simulate = ["simulate", "--corpus", str(corpus), "--out-results", str(out / "r.jsonl"),
+                    "--out-csv", str(out / "simulate.csv"), *vmma]
+        sweep = ["sweep", "--corpus", str(corpus), "--family", "vmma", "--grid", "0.2,1.0",
+                 "--out", str(out / "sweep.csv")]
+        script = "from simulstream.cli import main\n" + "".join(
+            f"assert main({argv!r}) == 0\n" for argv in (simulate, sweep)
+        )
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": path}
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+    assert list(outputs[0]) == ["r.jsonl", "simulate.csv", "sweep.csv"]
+    assert all(outputs[0].values()) and outputs[0] == outputs[1]
 
 
 def test_gen_corpus_rejects_bad_lengths(tmp_path):
@@ -396,7 +427,7 @@ def test_serve_once_exits_after_invalid_schedule(tmp_path, capsys):
     with sock:
         chan = _Channel(sock)
         chan.recv()
-        # WRITE before any READ: the server's replay rejects the schedule
+        # WRITE before any READ: the server's engine rejects that step
         chan.send("WRITE", {"token_index": 1, "token": 0, "src_consumed": 0})
         chan.send("EOS_TGT", {})
         with pytest.raises(ProtocolError, match="peer error"):
@@ -433,19 +464,30 @@ def _one_error_line(capsys) -> str:
     return err
 
 
+_NOT_FINITE = "is not a finite number"
+
+
 @pytest.mark.parametrize(
-    "flags, config",
+    "flags, config, message",
     [
-        (["--policy", "vmma", "--lam", "nan"], None),
-        (["--unit-ms", "nan"], None),
-        (["--per-decision-ms", "inf"], None),
-        (["--per-unit-ms", "nan"], None),
-        (["--pre-decision-ms", "inf"], None),
-        ([], '{"unit_ms": NaN}'),
+        (["--policy", "vmma", "--lam", "nan"], None, _NOT_FINITE),
+        (["--unit-ms", "nan"], None, _NOT_FINITE),
+        (["--per-decision-ms", "inf"], None, _NOT_FINITE),
+        (["--per-unit-ms", "nan"], None, _NOT_FINITE),
+        (["--pre-decision-ms", "inf"], None, _NOT_FINITE),
+        ([], '{"unit_ms": NaN}', _NOT_FINITE),
+        # a nonzero time the engine's whole microseconds would drop
+        (["--unit-ms", "0.0001", "--pre-decision-ms", "100"], None, "unit_ms 0.0001 rounds to 0"),
+        (["--pre-decision-ms", "0.0004"], None, "pre_decision_ms 0.0004 rounds to 0 us at $"),
+        ([], '{"compute": {"per_decision_ms": 0.0001}}', "per_decision_ms 0.0001 rounds to 0 us"),
+        (["--per-unit-ms", "0.0004"], None, "per_unit_ms 0.0004 rounds to 0 us at $['compute']"),
     ],
-    ids=["lam", "unit-ms", "per-decision-ms", "per-unit-ms", "pre-decision-ms", "file"],
+    ids=[
+        "lam", "unit-ms", "per-decision-ms", "per-unit-ms", "pre-decision-ms", "file",
+        "unit-ms-0us", "pre-decision-ms-0us", "per-decision-ms-0us-file", "per-unit-ms-0us",
+    ],
 )
-def test_non_finite_config_is_rejected(tmp_path, capsys, flags, config):
+def test_non_finite_config_is_rejected(tmp_path, capsys, flags, config, message):
     corpus = _gen(tmp_path, n=3)
     if config is not None:
         (tmp_path / "cfg.json").write_text(config)
@@ -454,7 +496,7 @@ def test_non_finite_config_is_rejected(tmp_path, capsys, flags, config):
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--corpus", str(corpus), "--out-csv", str(out), *flags])
     assert exc.value.code == 2
-    assert "is not a finite number" in _one_error_line(capsys)
+    assert message in _one_error_line(capsys)
     assert not out.exists()
 
 
@@ -694,8 +736,9 @@ def test_connect_counts_any_metric_gap(tmp_path, capsys):
 
 
 def test_segment_that_rounds_to_zero_fails_each_session(tmp_path, capsys):
-    corpus = _gen(tmp_path, n=3)
-    flags = ["--corpus", str(corpus), "--pre-decision-ms", "0.0001"]
+    # the utterances' own segment duration: the config rejects a --pre-decision-ms this short
+    corpus = _gen(tmp_path, n=3, segment_ms=0.0001)
+    flags = ["--corpus", str(corpus)]
     results, csv, swept = tmp_path / "r.jsonl", tmp_path / "r.csv", tmp_path / "s.csv"
     simulate = ["simulate", *flags, "--out-results", str(results), "--out-csv", str(csv)]
     sweep = ["sweep", *flags, "--family", "waitk", "--grid", "1,2", "--out", str(swept)]

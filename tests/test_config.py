@@ -90,17 +90,23 @@ def reference_load(d):
     return _merge(DEFAULTS, d)
 
 
+# the time settings, in ms, that the engine counts in whole microseconds
+MS_SETTINGS = {"pre_decision_ms", "unit_ms", "per_decision_ms", "per_unit_ms"}
+
+
 def allowed_new_rejection(d: dict, schema: dict = CONFIG_SCHEMA) -> bool:
     """d (accepted by the reference) holds a non-finite number, an
-    integral float in an integer field or a policy.scorer_value outside
-    (0, 1): the only values the reference took that the dataclasses may
-    refuse."""
+    integral float in an integer field, a policy.scorer_value outside
+    (0, 1) or a nonzero time setting that rounds to 0 us: the only values
+    the reference took that the dataclasses may refuse."""
     for key, value in d.items():
         sub = schema["properties"][key]
         if isinstance(value, dict):
             if allowed_new_rejection(value, sub):
                 return True
         elif sub is SCORER_VALUE and not 0 < value < 1:
+            return True
+        elif key in MS_SETTINGS and value and abs(value) < 1 and round(value * 1000) == 0:
             return True
         elif isinstance(value, float):
             if not math.isfinite(value) or sub.get("type") == "integer":
@@ -188,6 +194,7 @@ def config_dicts(draw):
 @example({"unit_ms": math.nan})
 @example({"policy": {"k": True}})
 @example({"policy": {"kind": "offline", "lam": 1}, "pre_decision_ms": None})
+@example({"unit_ms": 1e-300, "compute": {"per_unit_ms": 0.0005}})
 def test_loader_matches_schema_reference(d):
     expected = reference_load(d)
     try:

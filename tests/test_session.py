@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from simulstream.actions import (
@@ -147,6 +147,56 @@ def test_invalid_schedule_rejected():
     short = ScriptedPolicy((Action.READ, Action.WRITE))
     with pytest.raises(SessionError, match="invalid schedule: incomplete trace: 1/2 reads"):
         run_session(utt, _cfg(), short)
+
+
+@st.composite
+def _waitk_cases(draw):
+    m = draw(st.integers(1, 10))
+    n = draw(st.integers(1, 10))
+    utt = Utterance(
+        id=f"u{draw(st.integers(0, 99))}",
+        source_tokens=tuple(range(10, 10 + m)),
+        target_tokens=tuple(draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))),
+        source_token_duration_ms=draw(st.sampled_from([40.0, 280.0, 333.3])),
+        oracle_alignment=tuple(sorted(draw(st.lists(st.integers(1, m), min_size=n, max_size=n)))),
+    )
+    upt = draw(st.integers(1, 6))
+    ms = st.sampled_from([0.0, 0.25, 1.5, 7.0, 400.0])
+    config = _cfg(
+        units_per_token=upt,
+        emission_rate_l=draw(st.integers(1, n * upt + 2)),
+        compute=ComputeModel(per_decision_ms=draw(ms), per_unit_ms=draw(ms)),
+    )
+    return utt, config
+
+
+# CA-AL itself can fall as k rises: here 620 ms at k=1, 480 ms at k=2. The
+# slow vocoder delays token 2 past the last read at k=1, so AL's cutoff
+# counts both tokens; at k=2 every read comes first and it counts only token 1
+_CA_AL_FALLS = (
+    _utt(2, 2, seg=40.0, align=[1, 1]),
+    _cfg(units_per_token=1, compute=ComputeModel(per_unit_ms=400.0)),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_waitk_cases())
+@example(_CA_AL_FALLS)
+def test_waitk_tradeoff_never_falls_as_k_rises(case):
+    # the paper's latency/quality trade-off, per utterance: a longer head start
+    # never lowers AL or quality, nor any token's ideal or computation-aware delay
+    utt, config = case
+    runs = [run_session(utt, config, WaitKPolicy(k)) for k in range(1, utt.source_len + 2)]
+    for before, after in zip(runs, runs[1:]):
+        assert after.report().al_ms >= before.report().al_ms
+        assert after.quality >= before.quality
+        assert all(a >= b for a, b in zip(after.ideal_delays_us, before.ideal_delays_us))
+        assert all(a >= b for a, b in zip(after.ca_delays_us, before.ca_delays_us))
+
+
+def test_ca_al_can_fall_as_k_rises():
+    reports = [run_session(*_CA_AL_FALLS, WaitKPolicy(k)).report() for k in (1, 2)]
+    assert [r.ca_al_ms for r in reports] == [620.0, 480.0]
 
 
 def test_event_log_replays_to_identical_metrics(rng):

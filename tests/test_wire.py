@@ -1,16 +1,21 @@
+import hashlib
 import json
+import select
 import socket
+import threading
+import tracemalloc
 from collections import Counter
 
 import pytest
 
-from simulstream.corpus import SyntheticTaskSpec, generate_corpus
+from simulstream.corpus import SyntheticTaskSpec, Utterance, generate_corpus
 from simulstream.session import (
     ComputeModel,
     PolicySpec,
     SessionConfig,
     policy_from_spec,
     run_session,
+    synthetic_hypothesis_token,
 )
 from simulstream import wire
 from simulstream.wire import (
@@ -70,18 +75,78 @@ def test_loopback_metrics_match_in_process(server, monkeypatch):
     for ex in exchanges:
         assert ex.max_field_gap() == 0.0
 
-    # each end replays each utterance once, and every replay equals a plain
-    # in-process run of the same policy
+    # the server steps its engine message by message, so only the client
+    # replays each utterance, once; the replay and the server's METRICS
+    # both equal a plain in-process run of the same policy
     corpus = _corpus()
-    assert Counter(r.utterance_id for r in replays) == {utt.id: 2 for utt in corpus}
+    assert Counter(r.utterance_id for r in replays) == {utt.id: 1 for utt in corpus}
     cfg = _config()
-    for utt in corpus:
+    for utt, ex in zip(corpus, exchanges):
         local = run_session(utt, cfg, policy_from_spec(cfg.policy))
         for remote in (r for r in replays if r.utterance_id == utt.id):
             assert remote.ideal_delays_us == local.ideal_delays_us
             assert remote.ca_delays_us == local.ca_delays_us
             assert remote.hypothesis == local.hypothesis
             assert remote.quality == local.quality
+        assert ex.server_metrics == {
+            **wire._metrics_body(local), "remaining": ex.server_metrics["remaining"]
+        }
+
+
+def _pump(src, dst, record):
+    while chunk := src.recv(1 << 16):
+        record += chunk
+        dst.sendall(chunk)
+    try:
+        dst.shutdown(socket.SHUT_WR)
+    except OSError:  # the far end has closed already
+        pass
+
+
+def _relayed_session(address):
+    """One run_client_session through a loopback relay that records what
+    each end sends: (exchange, client bytes, server bytes)."""
+    streams = (bytearray(), bytearray())
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+
+        def relay():
+            client, _ = listener.accept()
+            with client, socket.create_connection(address) as server:
+                pumps = [
+                    threading.Thread(target=_pump, args=(client, server, streams[0])),
+                    threading.Thread(target=_pump, args=(server, client, streams[1])),
+                ]
+                for pump in pumps:
+                    pump.start()
+                for pump in pumps:
+                    pump.join()
+
+        thread = threading.Thread(target=relay)
+        thread.start()
+        exchange = run_client_session(*listener.getsockname())
+        thread.join(10)
+    assert not thread.is_alive()
+    return exchange, bytes(streams[0]), bytes(streams[1])
+
+
+def test_session_bytes_pinned():
+    # a whole number of microseconds per segment (280.0 ms), so a SEGMENT's
+    # arrival_ms reads the same from the engine's clock as from r * 280.0
+    srv = serve("127.0.0.1", 0, _corpus(1), _config())
+    try:
+        exchange, sent, received = _relayed_session(srv.address)
+    finally:
+        srv.shutdown()
+    assert exchange.max_field_gap() == 0.0 and srv.failures == []
+    assert [json.loads(line)["type"] for line in received.splitlines()] == [
+        "HELLO", *["SEGMENT"] * 4, "METRICS"
+    ]
+    assert hashlib.sha256(sent).hexdigest() == (
+        "66b8ef51e59d0a7809f5d6d2baf3660742cd3e5a06018caabd32993d35c596e0"
+    )
+    assert hashlib.sha256(received).hexdigest() == (
+        "4d014b01b1cab2c675add8796aa01e0a59eb8728962ea004431abfc41848b058"
+    )
 
 
 def test_server_reports_done_when_drained(server):
@@ -199,25 +264,58 @@ def test_server_flags_token_mismatch():
     srv = serve("127.0.0.1", 0, corpus, cfg)
     try:
         host, port = srv.address
-        with socket.create_connection((host, port)) as sock:
+        with socket.create_connection((host, port), timeout=10) as sock:
             chan = _Channel(sock)
-            _, body = chan.recv()
-            utt_len = len(body["utterance"]["target"])
-            src_len = len(body["utterance"]["source"])
+            chan.recv()
             chan.send("READ_REQ", {})
             chan.recv()
-            for i in range(utt_len):
-                chan.send("WRITE", {"token_index": i + 1, "token": -1, "src_consumed": 1})
-            for _ in range(src_len - 1):
-                chan.send("READ_REQ", {})
-                chan.recv()
-            chan.send("EOS_TGT", {})
-            # server drops the session instead of blessing wrong tokens
-            with pytest.raises(ProtocolError):
+            chan.send("WRITE", {"token_index": 1, "token": -1, "src_consumed": 1})
+            # server drops the session at the wrong token instead of blessing it
+            with pytest.raises(ProtocolError, match="peer error: .*disagree"):
                 chan.recv()
         assert any("disagree" in f for f in srv.failures)
     finally:
         srv.shutdown()
+
+
+def _write(chan, utt, w, r, token=None):
+    """A WRITE of token w after r segments; the stub's token unless given."""
+    if token is None:
+        token = synthetic_hypothesis_token(utt, w, r)
+    chan.send("WRITE", {"token_index": w, "token": token, "src_consumed": r})
+
+
+def _read_all(chan, utt):
+    for _ in range(utt.source_len):
+        chan.send("READ_REQ", {})
+        chan.recv()
+
+
+def test_write_flood_fails_at_write_n_plus_1_in_bounded_memory(monkeypatch):
+    # a client that keeps writing past the target end: the server fails the
+    # session at WRITE N+1 and keeps nothing per further WRITE
+    monkeypatch.setattr(wire, "READ_TIMEOUT_S", 5.0)
+    srv = serve("127.0.0.1", 0, _corpus(1), _config())
+    tracemalloc.start()
+    try:
+        with socket.create_connection(srv.address, timeout=10) as sock:
+            chan = _Channel(sock)
+            utt = Utterance.from_json(json.dumps(chan.recv()[1]["utterance"]))
+            _read_all(chan, utt)
+            M, N = utt.source_len, utt.target_len
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            for w in range(1, 20_001):
+                _write(chan, utt, w, M, token=(1 << 30) + w if w > N else None)
+                if select.select([sock], [], [], 0)[0]:  # the ERROR is in
+                    break
+            with pytest.raises(ProtocolError, match=f"write past target end at step {M + N}$"):
+                chan.recv()
+            grown = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+        srv.shutdown()
+    assert grown < 256 << 10, grown
 
 
 def _tcp_pair():
@@ -267,6 +365,18 @@ def _writes(tokens, first_index=1, src_consumed=1):
     return client
 
 
+def _write_before_read(chan, utt):
+    chan.send("WRITE", {"token_index": 1, "token": utt["target"][0], "src_consumed": 0})
+
+
+def _write_past_target(chan, utt):
+    # every segment and token as the stub has them, then one WRITE too many
+    utt = Utterance.from_json(json.dumps(utt))
+    _read_all(chan, utt)
+    for w in range(1, utt.target_len + 2):
+        _write(chan, utt, w, utt.source_len, token=0 if w > utt.target_len else None)
+
+
 def _silent(chan, utt):
     pass
 
@@ -304,10 +414,14 @@ def _read_req(**seq_no):
         (_writes(lambda target: [t + 0.5 for t in target]), ".5 is not an integer"),
         (_writes(list, first_index=2), "bad WRITE: token_index 2 is not 1"),
         (_writes(list, src_consumed=0), "bad WRITE: src_consumed 0 is not 1"),
+        # no EOS_TGT follows these: the ERROR answers the offending WRITE itself
+        (_write_before_read, "invalid schedule: trace must begin with READ"),
+        (_write_past_target, "invalid schedule: write past target end at step"),
     ],
     ids=[
         "invalid-schedule", "non-dict-body", "silent", "oversized", "bool-seq-no",
         "missing-seq-no", "string-token", "fractional-token", "skipped-index", "wrong-src-consumed",
+        "write-before-read", "write-past-target",
     ],
 )
 def test_bad_client_is_recorded_and_told(misbehave, reason, monkeypatch, capsys):
