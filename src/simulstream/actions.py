@@ -12,8 +12,6 @@ from __future__ import annotations
 from enum import Enum
 from typing import Iterable, Sequence
 
-import numpy as np
-
 
 class Action(str, Enum):
     READ = "READ"
@@ -107,6 +105,8 @@ def wait_k_mask(k: int, N: int, M: int) -> np.ndarray:
     Visibility is prefix-monotone: row i allows columns 1..min(k+i-1, M)
     in 1-based terms.
     """
+    import numpy as np  # here, so that wait-k schedules need no numpy
+
     rows = np.arange(1, N + 1)[:, None]
     cols = np.arange(1, M + 1)[None, :]
     limit = np.minimum(k + rows - 1, M)

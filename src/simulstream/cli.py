@@ -45,7 +45,7 @@ from .session import (
     recompute_result_from_events,
     run_session,
 )
-from . import verification, wire
+from . import wire
 
 
 class CliError(SystemExit):
@@ -253,6 +253,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verification  # here, as it loads numpy, which wait-k commands never need
+
     checks = verification.run_all(thorough=args.thorough)
     width = max(len(c.name) for c in checks)
     failed = 0

@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .latency import checked_field, is_number
 
 DEFAULT_SEGMENT_MS = 280.0
@@ -144,6 +142,8 @@ def _alignment_for(spec: SyntheticTaskSpec, M: int, N: int, rng: np.random.Gener
 
 def generate_corpus(spec: SyntheticTaskSpec, n: int, seed: int) -> list[Utterance]:
     """Generate n utterances, a pure function of (spec, n, seed)."""
+    import numpy as np  # here, so that reading and scoring a corpus need no numpy
+
     if n < 1:
         raise CorpusConfigError("n must be >= 1")
     rng = np.random.default_rng(seed)

@@ -20,7 +20,6 @@ import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
-import numpy as np
 
 class MetricError(ValueError):
     pass
@@ -91,6 +90,8 @@ def latency_loss(profile: DelayProfile, tgt_len: Optional[int] = None) -> float:
 
 def expected_delays(alpha: np.ndarray, per_source_ms: float) -> DelayProfile:
     """Mean consumed source position per output, scaled to time."""
+    import numpy as np  # here, so that the per-session metrics need no numpy
+
     alpha = np.asarray(alpha, dtype=np.float64)
     if alpha.ndim != 2 or alpha.size == 0:
         raise MetricError("alignment must be a non-empty matrix")

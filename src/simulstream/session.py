@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import sys
 import zlib
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
@@ -52,7 +53,6 @@ from .actions import Action, InvalidTraceError, ReadWritePath, wait_k_trace
 from .corpus import INTS, Utterance, quality_score
 from .latency import DelayProfile, LatencyReport, build_report
 from .latency import checked_field, is_int, is_number
-from .vmma import ConstantScorer, OracleScorer, change_to_actions, sample_change_trace
 
 GUESS_BASE = 1 << 20  # synthetic wrong guesses live far outside any vocab
 GUESS_SPACE = 1009
@@ -110,9 +110,12 @@ def _check_fields(obj) -> None:
     for name, rule in _rules(type(obj)).items():
         if not is_dataclass(rule[0]):
             value = _checked(rule, getattr(obj, name), f"{type(obj).__name__}.{name}")
-            # the engine counts whole us (see _us): a nonzero time must not silently become 0
+            # the engine counts whole us (see _us): a nonzero time must not silently
+            # become 0, nor be too large for a float to hold as a count of us
             if name.endswith("_ms") and value and 0 < value * 1000 <= 0.5:  # rounds to 0 us
                 raise ValueError(f"{name} {value!r} rounds to 0 us")
+            if name.endswith("_ms") and value and not math.isfinite(value * 1000):
+                raise ValueError(f"{name} {value!r} is too large to count in us")
 
 
 @dataclass(frozen=True)
@@ -241,18 +244,22 @@ class VmmaPolicy:
     seed: int = 0
 
     def plan(self, utterance: Utterance) -> list[Action]:
+        # here, so that a process that never plans with vmma never loads numpy; the
+        # module alone, as importing one name per plan costs less than four
+        from . import vmma
+
         if self.scorer == "oracle":
-            scorer = OracleScorer(utterance.oracle_alignment)
+            scorer = vmma.OracleScorer(utterance.oracle_alignment)
         else:
-            scorer = ConstantScorer(self.scorer_value)
-        trace = sample_change_trace(
+            scorer = vmma.ConstantScorer(self.scorer_value)
+        trace = vmma.sample_change_trace(
             scorer,
             self.lam,
             utterance.source_len,
             utterance.target_len,
             stable_utterance_seed(self.seed, utterance.id),
         )
-        return change_to_actions(trace)
+        return vmma.change_to_actions(trace)
 
 
 @dataclass(frozen=True)
@@ -433,6 +440,8 @@ class Session(ReadWritePath):
     def __init__(self, utterance: Utterance, config: SessionConfig):
         ReadWritePath.__init__(self, utterance.source_len, utterance.target_len)
         seg_ms = config.pre_decision_ms or utterance.source_token_duration_ms
+        if not math.isfinite(seg_ms * 1000):  # a corpus's own duration; the config's is checked
+            raise SessionError(f"source segment of {seg_ms} ms is too large to count in us")
         self.seg_us = _us(seg_ms)
         if self.seg_us < 1:  # no source time would pass, and report() rejects a zero duration
             raise SessionError(f"source segment of {seg_ms} ms rounds to 0 us")

@@ -481,10 +481,17 @@ _NOT_FINITE = "is not a finite number"
         (["--pre-decision-ms", "0.0004"], None, "pre_decision_ms 0.0004 rounds to 0 us at $"),
         ([], '{"compute": {"per_decision_ms": 0.0001}}', "per_decision_ms 0.0001 rounds to 0 us"),
         (["--per-unit-ms", "0.0004"], None, "per_unit_ms 0.0004 rounds to 0 us at $['compute']"),
+        # a finite time whose count of us a float cannot hold
+        (["--unit-ms", "1e308"], None, "unit_ms 1e+308 is too large to count in us at $"),
+        (["--pre-decision-ms", "1.7976931348623157e308"], None, "e+308 is too large to count"),
+        ([], '{"compute": {"per_unit_ms": 1e306}}', "per_unit_ms 1e+306 is too large to count"),
+        (["--per-decision-ms", "2e305"], None, "per_decision_ms 2e+305 is too large to count"),
     ],
     ids=[
         "lam", "unit-ms", "per-decision-ms", "per-unit-ms", "pre-decision-ms", "file",
         "unit-ms-0us", "pre-decision-ms-0us", "per-decision-ms-0us-file", "per-unit-ms-0us",
+        "unit-ms-too-large", "pre-decision-ms-too-large", "per-unit-ms-too-large-file",
+        "per-decision-ms-too-large",
     ],
 )
 def test_non_finite_config_is_rejected(tmp_path, capsys, flags, config, message):
@@ -664,6 +671,7 @@ def test_connect_errors_are_one_line(tmp_path, capsys):
     utterance = json.loads(read_corpus(str(_gen(tmp_path, n=1)))[0].to_json())
     bad_hello = {"done": False, "utterance": utterance, "config": {"policy": {"kind": "psychic"}}}
     compute_kind = {"compute": {"kind": "fixed_cost"}}
+    too_large = dict(bad_hello, config={"unit_ms": 1e308})
     float_token = dict(bad_hello, utterance=dict(utterance, source=[1.5, *utterance["source"][1:]]))
     segment = lambda r: {"index": r, "payload": 0, "arrival_ms": 0.0}
     metrics = {
@@ -681,6 +689,10 @@ def test_connect_errors_are_one_line(tmp_path, capsys):
             _fake_server(lambda chan: chan.send("HELLO", bad_hello)),
             "bad HELLO config: 'psychic' is not one of ['waitk', 'offline', 'vmma']"
             " at $['policy']['kind']",
+        ),
+        "hello-too-large-ms": (
+            _fake_server(lambda chan: chan.send("HELLO", too_large)),
+            "bad HELLO config: unit_ms 1e+308 is too large to count in us at $",
         ),
         "hello-compute-kind": (
             _fake_server(lambda chan: chan.send("HELLO", dict(bad_hello, config=compute_kind))),
@@ -735,9 +747,10 @@ def test_connect_counts_any_metric_gap(tmp_path, capsys):
         assert f"completed 1 sessions; {mismatches} metric mismatches" in capsys.readouterr().out
 
 
-def test_segment_that_rounds_to_zero_fails_each_session(tmp_path, capsys):
-    # the utterances' own segment duration: the config rejects a --pre-decision-ms this short
-    corpus = _gen(tmp_path, n=3, segment_ms=0.0001)
+def _each_session_fails(tmp_path, capsys, segment_ms, reason):
+    """simulate and sweep over a corpus of segment_ms segments fail each
+    session with reason, one line apiece, and write no result."""
+    corpus = _gen(tmp_path, n=3, segment_ms=segment_ms)
     flags = ["--corpus", str(corpus)]
     results, csv, swept = tmp_path / "r.jsonl", tmp_path / "r.csv", tmp_path / "s.csv"
     simulate = ["simulate", *flags, "--out-results", str(results), "--out-csv", str(csv)]
@@ -748,9 +761,20 @@ def test_segment_that_rounds_to_zero_fails_each_session(tmp_path, capsys):
         assert len(lines) == failed  # one per session, and no traceback
         for line in lines:
             assert line.startswith("failed: ")
-            assert line.endswith(": source segment of 0.0001 ms rounds to 0 us")
+            assert line.endswith(reason)
     assert results.read_text() == ""
     assert csv.read_text().splitlines() == [report_csv_header()]
+
+
+def test_segment_that_rounds_to_zero_fails_each_session(tmp_path, capsys):
+    # the utterances' own segment duration: the config rejects a --pre-decision-ms this short
+    _each_session_fails(tmp_path, capsys, 0.0001, ": source segment of 0.0001 ms rounds to 0 us")
+
+
+def test_segment_too_large_to_count_in_us_fails_each_session(tmp_path, capsys):
+    # as above, at the other end: 1e308 ms is finite, but not as a float count of us
+    reason = ": source segment of 1e+308 ms is too large to count in us"
+    _each_session_fails(tmp_path, capsys, 1e308, reason)
 
 
 def test_sweep_exits_1_when_a_grid_point_fails(tmp_path, capsys, monkeypatch):
