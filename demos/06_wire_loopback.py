@@ -1,10 +1,10 @@
 """Networked evaluation over the JSON-lines wire protocol.
 
-The server owns the corpus and the timing engine; the client makes the
-read/write decisions. The server takes each decision as a step of the
-engine as it arrives, and the client replays its own plan through the
-same engine, so both sides must report the same metrics. Any per-field
-gap means the harness is broken.
+The server owns the corpus; the client makes the read/write decisions.
+The client runs its session through the timing engine once and sends
+the reads and writes of its event log; the server takes each one as a
+step of the same engine as it arrives, so both sides must report the
+same metrics. Any per-field gap means the harness is broken.
 """
 
 from simulstream import (

@@ -294,6 +294,8 @@ def cmd_serve(args) -> int:
 
 
 def cmd_connect(args) -> int:
+    if args.max_sessions is not None and args.max_sessions < 1:
+        raise CliError(f"--max-sessions must be >= 1, got {args.max_sessions}")
     with ExitStack() as stack:
         # opened first: a path that cannot be written must not cost the server its sessions
         out = stack.enter_context(_open_out(args.out)) if args.out else None

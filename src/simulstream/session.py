@@ -264,7 +264,7 @@ class VmmaPolicy:
 
 @dataclass(frozen=True)
 class ScriptedPolicy:
-    """Replays a fixed schedule, such as the plan a wire client has sent."""
+    """Replays a fixed schedule."""
 
     actions: tuple[Action, ...]
 

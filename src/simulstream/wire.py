@@ -4,38 +4,40 @@ One session per connection. The server owns the corpus and the session
 config; the client is the deciding agent. Flow:
 
     server -> HELLO     {utterance, config, done}
-    client -> READ_REQ  {}                  (one per planned READ)
-    server -> SEGMENT   {index, payload, arrival_ms}   or EOS_SRC
+    client -> READ_REQ  {}                  (one per read in its log)
+    server -> SEGMENT   {index, payload, arrival_ms}
     client -> WRITE     {token_index, token, src_consumed}
     client -> EOS_TGT   {}
     server -> METRICS   {each latency.REPORT_CSV_COLUMNS key, remaining}
     either -> ERROR     {reason}            (then the sender closes)
 
 Both ends stamp messages with per-direction sequence numbers and reject
-regressions. The server takes each message as one step of the session
-engine (session.Session): SEGMENTs carry its arrival times and METRICS
-its result, so a correct client sees its own in-process numbers.
-`remaining` counts the utterances no client has claimed yet; at 0 a
-client stops without another connection, so it never races a `serve
---once` that has exited.
+regressions. Both ends run the session engine (session.Session): the
+client runs its session once on HELLO and sends its event log's reads
+and writes; the server takes each message as one step of its engine, so
+SEGMENTs carry its arrival times and METRICS its result. `remaining`
+counts the utterances no client has claimed yet; at 0 a client stops
+without another connection, so it never races a `serve --once` that
+has exited.
 
 A session fails when its client breaks the protocol, sends a WRITE
 whose token is not an integer or whose token_index or src_consumed is
 not the server's count, makes a move the engine rejects (a WRITE before
-any READ or past the target end, or EOS_TGT too early) or writes a
-token other than the engine's, each at that message, stays silent for
-`READ_TIMEOUT_S` or sends a line longer than `MAX_FRAME_BYTES`. The
-server records `"<id>: <reason>"` in `failures`, sends ERROR on a
-best-effort basis, half-closes and discards the client's input until it
-closes too (at most `LINGER_S` and `LINGER_MAX_BYTES`), so a client still
-sending reads the ERROR line rather than a connection reset; its `recv`
-raises `ProtocolError("peer error: <reason>")`. A client raises
-`ProtocolError("bad <part>: ...")` for a HELLO utterance that does not
-parse or config that `config_from_dict` rejects, a SEGMENT without an
-integer index and a METRICS that `latency.metrics_from_dict` rejects or
-that names another session. Sockets run with TCP_NODELAY: a session is a
-chain of small request/reply messages, and Nagle's algorithm would hold
-each one back for the peer's delayed ACK.
+any READ or past the target end, a READ_REQ past the source end, EOS_TGT
+too early) or writes a token other than the engine's, each at that
+message, stays silent for `READ_TIMEOUT_S` or sends a line longer than
+`MAX_FRAME_BYTES`. The server records `"<id>: <reason>"` in `failures`,
+sends ERROR on a best-effort basis, half-closes and discards the
+client's input until it closes too (at most `LINGER_S` and
+`LINGER_MAX_BYTES`), so a client still sending reads the ERROR line
+rather than a connection reset; its `recv` raises `ProtocolError("peer
+error: <reason>")`. A client raises `ProtocolError("bad <part>: ...")`
+for a HELLO utterance that does not parse or whose segments the engine
+cannot time, config that `config_from_dict` rejects, a SEGMENT without
+an integer index and a METRICS that `latency.metrics_from_dict` rejects
+or that names another session. Sockets run with TCP_NODELAY: a session
+is a chain of small request/reply messages, and Nagle's algorithm would
+hold each one back for the peer's delayed ACK.
 """
 
 from __future__ import annotations
@@ -50,23 +52,20 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .corpus import Utterance
-from .actions import Action, InvalidTraceError
+from .actions import InvalidTraceError
 from .latency import REPORT_CSV_COLUMNS, checked_field, is_int, metrics_from_dict, metrics_to_dict
 from .session import (
-    ScriptedPolicy,
     Session,
     SessionConfig,
+    SessionError,
     SessionResult,
     config_from_dict,
     config_to_dict,
     policy_from_spec,
     run_session,
-    synthetic_hypothesis_token,
 )
 
-MESSAGE_TYPES = (
-    "HELLO", "SEGMENT", "READ_REQ", "WRITE", "EOS_SRC", "EOS_TGT", "METRICS", "ERROR"
-)
+MESSAGE_TYPES = ("HELLO", "SEGMENT", "READ_REQ", "WRITE", "EOS_TGT", "METRICS", "ERROR")
 READ_TIMEOUT_S = 30.0  # server side: longest wait for a client's next message
 MAX_FRAME_BYTES = 1 << 20  # longest accepted line, newline excluded
 LINGER_S = 2.0  # after ERROR: longest wait for the client to stop sending
@@ -169,9 +168,9 @@ class EvalServer:
         self._lock = threading.Lock()
         outer = self
 
-        class Handler(socketserver.StreamRequestHandler):
+        class Handler(socketserver.BaseRequestHandler):  # _Channel makes the socket's files
             def handle(self):
-                outer._handle(self.connection)
+                outer._handle(self.request)
 
         class Server(socketserver.ThreadingTCPServer):
             allow_reuse_address = True
@@ -228,9 +227,6 @@ class EvalServer:
             while True:
                 msg_type, body = chan.recv()
                 if msg_type == "READ_REQ":
-                    if session.reads == session.M:
-                        chan.send("EOS_SRC", {})
-                        continue
                     arrival_us = session.read()
                     r = session.reads
                     if not self.fast_forward:
@@ -346,29 +342,25 @@ def run_client_session(host: str, port: int) -> Optional[SessionExchange]:
             utt = Utterance.from_json(json.dumps(body["utterance"]))
         with _reading("HELLO config"):
             config = config_from_dict(body.get("config"))
+        try:  # an utterance whose segments the engine cannot time
+            local = run_session(utt, config, policy_from_spec(config.policy))
+        except SessionError as exc:
+            raise ProtocolError(f"bad HELLO utterance: {exc}") from None
         chan.session_id = utt.id
-        policy = policy_from_spec(config.policy)
-        plan = policy.plan(utt)
-        r = 0
-        w = 0
-        READ = Action.READ  # a local: an Enum member lookup costs more than the loop's test
-        for action in plan:
-            if action is READ:
+        for event in local.events:  # rows (t_us, wall_us, kind, *EVENT_FIELDS[kind])
+            if event[2] == "read":  # index
                 chan.send("READ_REQ", {})
                 msg_type, seg = chan.recv()
-                if msg_type == "EOS_SRC":
-                    continue
                 if msg_type != "SEGMENT":
                     raise ProtocolError(f"expected SEGMENT, got {msg_type}")
-                r += 1
                 with _reading("SEGMENT"):
                     index = checked_field(seg, "index", is_int, "an integer")
-                if index != r:
+                if index != event[3]:
                     raise ProtocolError("segment order violated")
-            else:
-                w += 1
-                token = synthetic_hypothesis_token(utt, w, r)
-                chan.send("WRITE", {"token_index": w, "token": token, "src_consumed": r})
+            elif event[2] == "write":  # token, n_units, src_consumed
+                w = event[3]
+                token = local.hypothesis[w - 1]
+                chan.send("WRITE", {"token_index": w, "token": token, "src_consumed": event[5]})
         chan.send("EOS_TGT", {})
         msg_type, server_metrics = chan.recv()
         if msg_type != "METRICS":
@@ -377,7 +369,6 @@ def run_client_session(host: str, port: int) -> Optional[SessionExchange]:
             metrics_id = metrics_from_dict(server_metrics)[0]
             if metrics_id != utt.id:
                 raise ValueError(f"id {metrics_id!r} is not this session's {utt.id!r}")
-        local = run_session(utt, config, ScriptedPolicy(tuple(plan)))
         return SessionExchange(utt.id, _metrics_body(local), server_metrics)
 
 

@@ -74,9 +74,9 @@ def test_instrument_patches_entry_points_and_restores_them(tmp_path, monkeypatch
 
 
 def test_wire_sessions_are_traced_in_process(monkeypatch):
-    # the wire-loopback workload times the client's recv and its local replay
+    # the wire-loopback workload times the client's recv and its own session
     # by these names; the server steps its own engine, so only the client
-    # replays, once per session
+    # runs one, once per session, before its first READ_REQ
     tracing = _load_tracing(monkeypatch)
     utterances = generate_corpus(SyntheticTaskSpec(60, (3, 6), "random-monotone"), 3, seed=4)
     tracer = tracing.Tracer()

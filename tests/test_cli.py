@@ -189,6 +189,8 @@ def test_eval_rejects_bad_results(tmp_path, capsys):
     long_source = dict(record, src_len=src_len + 5, hypothesis=record["hypothesis"][:3])
     long_duration = dict(record, source_duration_us=duration * 3)
     short_hypothesis = dict(record, hypothesis=record["hypothesis"][:-1])
+    # a header that agrees with the log, whose tokens no vocoder_call synthesizes
+    unvoiced = dict(record, events=[e for e in record["events"] if e["kind"] != "vocoder_call"])
     cases = {
         "nope.jsonl": (None, "cannot read results"),
         "garbled.jsonl": ("{not json", "line 2"),
@@ -221,6 +223,10 @@ def test_eval_rejects_bad_results(tmp_path, capsys):
         "short-hypothesis.jsonl": (
             json.dumps(short_hypothesis),
             f"line 2: hypothesis length {tgt_len - 1} disagrees with the event log's {tgt_len}",
+        ),
+        "unvoiced.jsonl": (
+            json.dumps(unvoiced),
+            f"line 2: event log leaves {tgt_len} tokens unsynthesized",
         ),
         "array.jsonl": (json.dumps([record]), "line 2: a results line must be a JSON object"),
         "int-events.jsonl": (json.dumps(dict(record, events=5)), "line 2: events 5 is not a list"),
@@ -673,6 +679,8 @@ def test_connect_errors_are_one_line(tmp_path, capsys):
     compute_kind = {"compute": {"kind": "fixed_cost"}}
     too_large = dict(bad_hello, config={"unit_ms": 1e308})
     float_token = dict(bad_hello, utterance=dict(utterance, source=[1.5, *utterance["source"][1:]]))
+    # segments the engine cannot time: the client runs its session before its first READ_REQ
+    untimable = lambda ms: dict(bad_hello, utterance=dict(utterance, src_tok_ms=ms), config={})
     segment = lambda r: {"index": r, "payload": 0, "arrival_ms": 0.0}
     metrics = {
         "id": utterance["id"], "al_ms": 1.0, "ca_al_ms": 1.0, "mean_delay_ms": 1.0,
@@ -706,6 +714,14 @@ def test_connect_errors_are_one_line(tmp_path, capsys):
             _fake_server(lambda chan: chan.send("HELLO", dict(float_token, config={}))),
             "bad HELLO utterance: source [1.5, ",
         ),
+        "hello-segment-rounds-to-0": (
+            _fake_server(lambda chan: chan.send("HELLO", untimable(0.0001))),
+            "bad HELLO utterance: source segment of 0.0001 ms rounds to 0 us",
+        ),
+        "hello-segment-too-large": (
+            _fake_server(lambda chan: chan.send("HELLO", untimable(1e308))),
+            "bad HELLO utterance: source segment of 1e+308 ms is too large to count in us",
+        ),
         "metrics-missing-key": (
             _fake_server(_fake_session(utterance, segment, no_discont)),
             "bad METRICS: missing field 'discont_ms'",
@@ -729,6 +745,18 @@ def test_connect_errors_are_one_line(tmp_path, capsys):
         assert exc.value.code == 2, name
         err = _one_error_line(capsys)
         assert f"127.0.0.1:{port}" in err and message in err, name
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_connect_rejects_max_sessions_below_1(n, capsys):
+    # before connecting: the port is closed, and the error must not be about it
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        closed_port = probe.getsockname()[1]
+    with pytest.raises(SystemExit) as exc:
+        main(["connect", "--port", str(closed_port), "--max-sessions", n])
+    assert exc.value.code == 2
+    assert _one_error_line(capsys) == f"error: --max-sessions must be >= 1, got {n}\n"
 
 
 def test_connect_counts_any_metric_gap(tmp_path, capsys):

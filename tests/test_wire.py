@@ -76,8 +76,8 @@ def test_loopback_metrics_match_in_process(server, monkeypatch):
         assert ex.max_field_gap() == 0.0
 
     # the server steps its engine message by message, so only the client
-    # replays each utterance, once; the replay and the server's METRICS
-    # both equal a plain in-process run of the same policy
+    # runs each utterance's session, once; that run and the server's
+    # METRICS both equal a plain in-process run of the same policy
     corpus = _corpus()
     assert Counter(r.utterance_id for r in replays) == {utt.id: 1 for utt in corpus}
     cfg = _config()
@@ -165,10 +165,10 @@ def test_max_sessions_limits_drain(server):
     assert len(rest) == 4
 
 
-def test_read_past_end_gets_eos_src():
+def test_head_start_past_source_end_matches():
     corpus = _corpus(1)
     utt = corpus[0]
-    # a plan that asks for more segments than exist: k far beyond the source
+    # a head start longer than the source: wait-k reads all of it, never past its end
     cfg = SessionConfig(policy=PolicySpec("waitk", k=utt.source_len + 5))
     srv = serve("127.0.0.1", 0, corpus, cfg)
     try:
@@ -377,6 +377,14 @@ def _write_past_target(chan, utt):
         _write(chan, utt, w, utt.source_len, token=0 if w > utt.target_len else None)
 
 
+def _read_past_source(chan, utt):
+    # every segment, then one READ_REQ more
+    for _ in utt["source"]:
+        chan.send("READ_REQ", {})
+        chan.recv()
+    chan.send("READ_REQ", {})
+
+
 def _silent(chan, utt):
     pass
 
@@ -417,11 +425,12 @@ def _read_req(**seq_no):
         # no EOS_TGT follows these: the ERROR answers the offending WRITE itself
         (_write_before_read, "invalid schedule: trace must begin with READ"),
         (_write_past_target, "invalid schedule: write past target end at step"),
+        (_read_past_source, "invalid schedule: read past source end at step"),
     ],
     ids=[
         "invalid-schedule", "non-dict-body", "silent", "oversized", "bool-seq-no",
         "missing-seq-no", "string-token", "fractional-token", "skipped-index", "wrong-src-consumed",
-        "write-before-read", "write-past-target",
+        "write-before-read", "write-past-target", "read-past-source",
     ],
 )
 def test_bad_client_is_recorded_and_told(misbehave, reason, monkeypatch, capsys):
