@@ -14,10 +14,11 @@ The package splits into three layers:
 Only what needs numpy loads it. The names of alignment, distill and vmma
 are imported on first use (__getattr__); generate_corpus, wait_k_mask
 and expected_delays import numpy when called. So wait-k simulation, eval
-and a wait-k wire session never load it.
+and a wait-k wire session never load it. The names of wire, which loads
+the socket modules, are imported on first use too.
 """
 
-# numpy-free, so imported now
+# free of numpy and sockets, so imported now
 from .actions import (
     Action, consumed_before_write, encode_trace, trace_from_consumption, validate_trace,
     wait_k_mask, wait_k_trace,
@@ -33,11 +34,8 @@ from .session import (
     WaitKPolicy, discontinuity_report, policy_from_spec, recompute_result_from_events,
     run_session,
 )
-from .wire import (
-    EvalServer, ProtocolError, SessionExchange, connect, run_client_session, serve,
-)
 
-# numpy-backed names, each imported from its module on first use
+# names of the modules that load numpy or sockets, each imported on first use
 _LAZY = {
     name: module
     for module, names in {
@@ -54,6 +52,10 @@ _LAZY = {
             "actions_to_changes", "alignment_to_actions", "change_probability",
             "change_to_actions", "diagonal_prior", "enumerate_traces", "estimate_elbo",
             "exact_elbo", "path_log_ratio", "sample_change_trace", "sample_trace_from_table",
+        ),
+        "wire": (
+            "EvalServer", "ProtocolError", "SessionExchange", "connect", "run_client_session",
+            "serve",
         ),
     }.items()
     for name in (module, *names)

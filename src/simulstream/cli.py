@@ -45,7 +45,6 @@ from .session import (
     recompute_result_from_events,
     run_session,
 )
-from . import wire
 
 
 class CliError(SystemExit):
@@ -270,6 +269,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_serve(args) -> int:
+    from . import wire  # here, as only serve and connect need sockets
+
     corpus = _read_corpus_or_die(args.corpus)
     config = build_config(args)
     try:
@@ -294,6 +295,11 @@ def cmd_serve(args) -> int:
 
 
 def cmd_connect(args) -> int:
+    from . import wire
+
+    # getaddrinfo would take a port past 65535 modulo 65536
+    if not 1 <= args.port <= 65535:
+        raise CliError(f"--port must be in 1..65535, got {args.port}")
     if args.max_sessions is not None and args.max_sessions < 1:
         raise CliError(f"--max-sessions must be >= 1, got {args.max_sessions}")
     with ExitStack() as stack:

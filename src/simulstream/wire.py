@@ -15,10 +15,15 @@ Both ends stamp messages with per-direction sequence numbers and reject
 regressions. Both ends run the session engine (session.Session): the
 client runs its session once on HELLO and sends its event log's reads
 and writes; the server takes each message as one step of its engine, so
-SEGMENTs carry its arrival times and METRICS its result. `remaining`
-counts the utterances no client has claimed yet; at 0 a client stops
-without another connection, so it never races a `serve --once` that
-has exited.
+SEGMENTs carry its arrival times and METRICS its result. The client
+does not wait for each SEGMENT: it writes its log's READ_REQs and
+WRITEs, then EOS_TGT, and reads the SEGMENTs in order. At most
+`READ_WINDOW` READ_REQs are unanswered; at that bound it flushes and
+reads the oldest SEGMENT first, so what the server owes fits in small
+socket buffers (4 KiB a side is tested) and the two ends never block
+writing to each other. `remaining` counts the utterances no client has
+claimed yet; at 0 a client stops without another connection, so it
+never races a `serve --once` that has exited.
 
 A session fails when its client breaks the protocol, sends a WRITE
 whose token is not an integer or whose token_index or src_consumed is
@@ -35,9 +40,8 @@ error: <reason>")`. A client raises `ProtocolError("bad <part>: ...")`
 for a HELLO utterance that does not parse or whose segments the engine
 cannot time, config that `config_from_dict` rejects, a SEGMENT without
 an integer index and a METRICS that `latency.metrics_from_dict` rejects
-or that names another session. Sockets run with TCP_NODELAY: a session
-is a chain of small request/reply messages, and Nagle's algorithm would
-hold each one back for the peer's delayed ACK.
+or that names another session. Sockets run with TCP_NODELAY, so no
+message waits for the peer's delayed ACK.
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ import socket
 import socketserver
 import threading
 import time
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
@@ -67,6 +72,7 @@ from .session import (
 
 MESSAGE_TYPES = ("HELLO", "SEGMENT", "READ_REQ", "WRITE", "EOS_TGT", "METRICS", "ERROR")
 READ_TIMEOUT_S = 30.0  # server side: longest wait for a client's next message
+READ_WINDOW = 32  # client side: most READ_REQs sent whose SEGMENT is not read yet
 MAX_FRAME_BYTES = 1 << 20  # longest accepted line, newline excluded
 LINGER_S = 2.0  # after ERROR: longest wait for the client to stop sending
 LINGER_MAX_BYTES = 64 * MAX_FRAME_BYTES  # after ERROR: most input discarded
@@ -88,7 +94,8 @@ class _Channel:
         self._send_seq = 0
         self._recv_seq = 0
 
-    def send(self, msg_type: str, body: dict) -> None:
+    def send(self, msg_type: str, body: dict, flush: bool = True) -> None:
+        """Write one message; unless flush, it stays buffered until a later flush."""
         if msg_type not in MESSAGE_TYPES:
             raise ProtocolError(f"unknown message type {msg_type!r}")
         self._send_seq += 1
@@ -99,7 +106,8 @@ class _Channel:
             "body": body,
         }
         self.wfile.write(json.dumps(record) + "\n")
-        self.wfile.flush()
+        if flush:
+            self.wfile.flush()
 
     def recv(self) -> tuple[str, dict]:
         line = self.rfile.readline(MAX_FRAME_BYTES + 1)
@@ -329,6 +337,19 @@ def _reading(what: str):
         raise ProtocolError(f"bad {what}: {exc}") from None
 
 
+def _read_segment(chan: _Channel, index: int) -> None:
+    """Read the next message, which must be the SEGMENT of read `index`."""
+    msg_type, seg = chan.recv()
+    if msg_type != "SEGMENT":
+        raise ProtocolError(f"expected SEGMENT, got {msg_type}")
+    try:  # as _reading does, without its generator: a SEGMENT comes per read
+        got = checked_field(seg, "index", is_int, "an integer")
+    except ValueError as exc:
+        raise ProtocolError(f"bad SEGMENT: {exc}") from None
+    if got != index:
+        raise ProtocolError("segment order violated")
+
+
 def run_client_session(host: str, port: int) -> Optional[SessionExchange]:
     """Run one networked session; None when the server is out of work."""
     with socket.create_connection((host, port)) as sock:
@@ -347,21 +368,22 @@ def run_client_session(host: str, port: int) -> Optional[SessionExchange]:
         except SessionError as exc:
             raise ProtocolError(f"bad HELLO utterance: {exc}") from None
         chan.session_id = utt.id
+        unanswered = deque()  # the index of each READ_REQ sent, until its SEGMENT is read
         for event in local.events:  # rows (t_us, wall_us, kind, *EVENT_FIELDS[kind])
             if event[2] == "read":  # index
-                chan.send("READ_REQ", {})
-                msg_type, seg = chan.recv()
-                if msg_type != "SEGMENT":
-                    raise ProtocolError(f"expected SEGMENT, got {msg_type}")
-                with _reading("SEGMENT"):
-                    index = checked_field(seg, "index", is_int, "an integer")
-                if index != event[3]:
-                    raise ProtocolError("segment order violated")
+                if len(unanswered) == READ_WINDOW:
+                    chan.wfile.flush()
+                    _read_segment(chan, unanswered.popleft())
+                chan.send("READ_REQ", {}, flush=False)
+                unanswered.append(event[3])
             elif event[2] == "write":  # token, n_units, src_consumed
                 w = event[3]
                 token = local.hypothesis[w - 1]
-                chan.send("WRITE", {"token_index": w, "token": token, "src_consumed": event[5]})
+                body = {"token_index": w, "token": token, "src_consumed": event[5]}
+                chan.send("WRITE", body, flush=False)
         chan.send("EOS_TGT", {})
+        for index in unanswered:
+            _read_segment(chan, index)
         msg_type, server_metrics = chan.recv()
         if msg_type != "METRICS":
             raise ProtocolError(f"expected METRICS, got {msg_type}")

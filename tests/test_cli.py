@@ -759,6 +759,19 @@ def test_connect_rejects_max_sessions_below_1(n, capsys):
     assert _one_error_line(capsys) == f"error: --max-sessions must be >= 1, got {n}\n"
 
 
+@pytest.mark.parametrize("port", ["70000", "101837", "0", "-1"])
+def test_connect_rejects_port_out_of_range(port, capsys, monkeypatch):
+    # getaddrinfo takes a port past 65535 modulo 65536, so no connection may be tried
+    def create_connection(*args, **kwargs):
+        raise AssertionError(f"connected to {args}")
+
+    monkeypatch.setattr(socket, "create_connection", create_connection)
+    with pytest.raises(SystemExit) as exc:
+        main(["connect", "--port", port])
+    assert exc.value.code == 2
+    assert _one_error_line(capsys) == f"error: --port must be in 1..65535, got {port}\n"
+
+
 def test_connect_counts_any_metric_gap(tmp_path, capsys):
     from simulstream.latency import metrics_to_dict
     from simulstream.session import SessionConfig, WaitKPolicy, run_session

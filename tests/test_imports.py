@@ -1,9 +1,11 @@
-"""numpy is loaded only by what needs it, and the package still exports
-every name it did when it imported every module up front.
+"""numpy and the socket modules are loaded only by what needs them, and
+the package still exports every name it did when it imported every
+module up front.
 
 The wait-k commands, eval and a wait-k wire session run without numpy,
-so a fresh process skips its import, most of the CLI's start-up. These
-tests check module sets in fresh interpreters, never times.
+so a fresh process skips its import, most of the CLI's start-up; only
+serve and connect load wire. These tests check module sets in fresh
+interpreters, never times.
 """
 
 import json
@@ -25,6 +27,7 @@ NUMPY_BACKED = (
     "simulstream.verification",
     "simulstream.vmma",
 )
+WIRE = ("simulstream.wire", "socketserver")
 
 # dir(simulstream) without underscores, as it read when __init__ imported every module
 PUBLIC_NAMES = {
@@ -84,9 +87,9 @@ COMMANDS = {
 }
 
 
-def _loaded_after(script: str) -> list[str]:
-    """The modules of NUMPY_BACKED that script leaves loaded in a fresh interpreter."""
-    report = f"print(json.dumps([m for m in {NUMPY_BACKED!r} if m in sys.modules]))"
+def _loaded_after(script: str, modules: tuple = NUMPY_BACKED) -> list[str]:
+    """The modules of `modules` that script leaves loaded in a fresh interpreter."""
+    report = f"print(json.dumps([m for m in {modules!r} if m in sys.modules]))"
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", f"{script}\nimport json, sys\n{report}"],
@@ -111,6 +114,13 @@ def files(tmp_path):
 @pytest.mark.parametrize("command", COMMANDS)
 def test_command_does_not_load_numpy(files, command):
     assert _loaded_after(COMMANDS[command].format(**files)) == []
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_only_serve_and_connect_load_wire(files, command):
+    # serve-connect-waitk is the control: the same probe sees what wire imports
+    loaded = list(WIRE) if command == "serve-connect-waitk" else []
+    assert _loaded_after(COMMANDS[command].format(**files), WIRE) == loaded
 
 
 def test_vmma_sweep_loads_numpy(files):

@@ -12,6 +12,7 @@ from simulstream.corpus import SyntheticTaskSpec, Utterance, generate_corpus
 from simulstream.session import (
     ComputeModel,
     PolicySpec,
+    Session,
     SessionConfig,
     policy_from_spec,
     run_session,
@@ -475,3 +476,96 @@ def test_client_still_sending_reads_error_line(mib):
         assert len(srv.failures) == 1 and srv.failures[0].endswith(": frame too long")
     finally:
         srv.shutdown()
+
+
+def _deferring_peer(utt, config):
+    """A server for one session of utt that reads every client message up
+    to EOS_TGT before it sends any SEGMENT; returns its address. A client
+    that waits for a SEGMENT first gets "connection closed" after 5 s."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    result = run_session(utt, config, policy_from_spec(config.policy))
+    utterance, config_dict = json.loads(utt.to_json()), config_to_dict(config)
+    hello = {"done": False, "utterance": utterance, "config": config_dict}
+
+    def run():
+        with listener:
+            conn, _ = listener.accept()
+        conn.settimeout(5)
+        chan = _Channel(conn, session_id=utt.id)
+        try:
+            chan.send("HELLO", hello)
+            reads = 0
+            while (msg_type := chan.recv()[0]) != "EOS_TGT":
+                reads += msg_type == "READ_REQ"
+            for r in range(1, reads + 1):
+                segment = {"index": r, "payload": utt.source_tokens[r - 1], "arrival_ms": 0.0}
+                chan.send("SEGMENT", segment)
+            chan.send("METRICS", {**wire._metrics_body(result), "remaining": 0})
+        except OSError:  # the timeout
+            pass
+        finally:
+            chan.close()
+            conn.close()
+
+    threading.Thread(target=run, daemon=True).start()
+    return listener.getsockname()
+
+
+def test_client_sends_its_log_before_it_reads_a_segment():
+    utt, config = _corpus(1)[0], _config()
+    assert utt.source_len <= wire.READ_WINDOW
+    exchange = run_client_session(*_deferring_peer(utt, config))
+    assert exchange.max_field_gap() == 0
+
+
+def test_read_window_keeps_small_socket_buffers_moving(monkeypatch):
+    # with 4 KiB buffers at both ends, a client that sent every READ_REQ of
+    # a long session before reading would block writing while the server
+    # blocks writing SEGMENTs; the server's send then times out
+    init = _Channel.__init__
+
+    def small_buffers(self, sock, session_id=""):
+        for option in (socket.SO_SNDBUF, socket.SO_RCVBUF):
+            sock.setsockopt(socket.SOL_SOCKET, option, 4096)
+        if sock.gettimeout() is None:  # the client: its own bound
+            sock.settimeout(10)
+        init(self, sock, session_id)
+
+    monkeypatch.setattr(_Channel, "__init__", small_buffers)
+    monkeypatch.setattr(wire, "READ_TIMEOUT_S", 0.25)
+    m = 2000
+    utt = Utterance("long", tuple(range(m)), tuple(range(m)), 10.0, tuple(range(1, m + 1)))
+    srv = serve("127.0.0.1", 0, [utt], SessionConfig(policy=PolicySpec("waitk", k=3)))
+    try:
+        exchange = run_client_session(*srv.address)
+        assert srv.drained.wait(5)
+    finally:
+        srv.shutdown()
+    assert srv.failures == []
+    assert exchange.max_field_gap() == 0
+
+
+class _LyingSession(Session):
+    """The server's engine, with another token at WRITE 2."""
+
+    def write(self):
+        token = super().write()
+        return token + 1 if self.writes == 2 else token
+
+
+def test_pipelined_client_reads_error_sent_mid_session(monkeypatch):
+    # the client has sent its whole log by the time the server fails WRITE 2;
+    # it must still read the ERROR line, not a reset or a broken pipe
+    monkeypatch.setattr(wire, "Session", _LyingSession)
+    before = set(threading.enumerate())
+    srv = serve("127.0.0.1", 0, _corpus(1), _config())
+    try:
+        with pytest.raises(ProtocolError, match="^peer error: client token .* disagrees .*"):
+            run_client_session(*srv.address)
+        assert srv.drained.wait(wire.LINGER_S + 1)
+    finally:
+        srv.shutdown()
+    assert len(srv.failures) == 1 and "disagrees with stub" in srv.failures[0]
+    for thread in set(threading.enumerate()) - before:
+        thread.join(wire.LINGER_S)
+        assert not thread.is_alive(), thread
