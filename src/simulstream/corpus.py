@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .latency import checked_field, is_number
+from .latency import INTS, NUMBER, STR, checked_field
 
 DEFAULT_SEGMENT_MS = 280.0
 
@@ -76,18 +76,12 @@ class Utterance:
         if not isinstance(d, dict):
             raise CorpusConfigError("utterance is not a JSON object")
         return cls(
-            id=checked_field(d, "id", lambda v: type(v) is str, "a string"),
+            id=checked_field(d, "id", *STR),
             source_tokens=tuple(checked_field(d, "source", *INTS)),
             target_tokens=tuple(checked_field(d, "target", *INTS)),
-            source_token_duration_ms=float(
-                checked_field(d, "src_tok_ms", is_number, "a finite number")
-            ),
+            source_token_duration_ms=float(checked_field(d, "src_tok_ms", *NUMBER)),
             oracle_alignment=tuple(checked_field(d, "oracle_alignment", *INTS)),
         )
-
-
-# the rule for a stored token list: a JSON list of integers, none a bool
-INTS = (lambda v: type(v) is list and {*map(type, v)} <= {int}, "a list of integers")
 
 
 @dataclass(frozen=True)

@@ -178,15 +178,19 @@ def checked_field(d: dict, key: str, ok, want: str):
     return d[key]
 
 
-_COLUMN_RULES = {"id": (lambda v: type(v) is str, "a string"), "n_tokens": (is_int, "an integer")}
+# (ok, want) rules for checked_field
+STR = (lambda v: type(v) is str, "a string")
+INT = (is_int, "an integer")
+NUMBER = (is_number, "a finite number")
+# a stored token list: a JSON list of integers, none a bool
+INTS = (lambda v: type(v) is list and {*map(type, v)} <= {int}, "a list of integers")
+# each REPORT_CSV_COLUMNS key's rule, in that order
+COLUMN_RULES = {key: {"id": STR, "n_tokens": INT}.get(key, NUMBER) for key in REPORT_CSV_COLUMNS}
 
 
 def metrics_from_dict(d: dict) -> tuple[str, LatencyReport, float]:
     """(id, report, quality) read back from a metrics_to_dict dict, such
     as a wire METRICS body; other keys are ignored. Each column must be
     there, id a string, n_tokens an int and the rest finite numbers."""
-    utt_id, *values, quality = (
-        checked_field(d, key, *_COLUMN_RULES.get(key, (is_number, "a finite number")))
-        for key in REPORT_CSV_COLUMNS
-    )
+    utt_id, *values, quality = (checked_field(d, key, *rule) for key, rule in COLUMN_RULES.items())
     return utt_id, LatencyReport(*values), quality

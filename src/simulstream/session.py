@@ -50,9 +50,9 @@ from operator import itemgetter
 from typing import Literal, Optional, Protocol, Sequence, Union, get_args, get_origin, get_type_hints
 
 from .actions import Action, InvalidTraceError, ReadWritePath, wait_k_trace
-from .corpus import INTS, Utterance, quality_score
+from .corpus import Utterance, quality_score
 from .latency import DelayProfile, LatencyReport, build_report
-from .latency import checked_field, is_int, is_number
+from .latency import INT, INTS, NUMBER, STR, checked_field
 
 GUESS_BASE = 1 << 20  # synthetic wrong guesses live far outside any vocab
 GUESS_SPACE = 1009
@@ -97,10 +97,9 @@ def _checked(rule, value, where: str):
         return value
     if choices:
         ok, want = value in choices, f"one of {list(choices)}"
-    elif tp is int:
-        ok, want = is_int(value), "an integer"
-    else:  # float, the only other type a setting has
-        ok, want = is_number(value), "a finite number"
+    else:  # int or float, the only other types a setting has
+        test, want = INT if tp is int else NUMBER
+        ok = test(value)
     if not ok:
         raise ValueError(f"{value!r} is not {want} at {where}")
     return value
@@ -407,13 +406,13 @@ class SessionResult:
             raise SessionError(f"unknown field {unknown[0]!r}")
         events = _events_from_json(checked_field(d, "events", lambda v: type(v) is list, "a list"))
         result = cls(
-            utterance_id=checked_field(d, "id", lambda v: type(v) is str, "a string"),
-            source_len=checked_field(d, "src_len", is_int, "an integer"),
-            target_len=checked_field(d, "tgt_len", is_int, "an integer"),
-            source_duration_us=checked_field(d, "source_duration_us", is_int, "an integer"),
+            utterance_id=checked_field(d, "id", *STR),
+            source_len=checked_field(d, "src_len", *INT),
+            target_len=checked_field(d, "tgt_len", *INT),
+            source_duration_us=checked_field(d, "source_duration_us", *INT),
             events=events,
             hypothesis=tuple(checked_field(d, "hypothesis", *INTS)),
-            quality=checked_field(d, "quality", is_number, "a finite number"),
+            quality=checked_field(d, "quality", *NUMBER),
             **fold_events(events),
         )
         reads = [e[0] for e in events if e[2] == "read"]  # read r's t_us is r segments

@@ -3,15 +3,18 @@
 One session per connection. The server owns the corpus and the session
 config; the client is the deciding agent. Flow:
 
-    server -> HELLO     {utterance, config, done}
-    client -> READ_REQ  {}                  (one per read in its log)
-    server -> SEGMENT   {index, payload, arrival_ms}
-    client -> WRITE     {token_index, token, src_consumed}
-    client -> EOS_TGT   {}
-    server -> METRICS   {each latency.REPORT_CSV_COLUMNS key, remaining}
-    either -> ERROR     {reason}            (then the sender closes)
+    server -> HELLO
+    client -> READ_REQ  (one per read in its log)
+    server -> SEGMENT
+    client -> WRITE
+    client -> EOS_TGT
+    server -> METRICS
+    either -> ERROR     (then the sender closes)
 
-Both ends stamp messages with per-direction sequence numbers and reject
+`MESSAGES` gives each type's body: its fields in the order they are
+sent and the rule each obeys. Both ends check every message they read
+against it, and against the types they expect next (`_Channel.recv`),
+and stamp messages with per-direction sequence numbers, rejecting
 regressions. Both ends run the session engine (session.Session): the
 client runs its session once on HELLO and sends its event log's reads
 and writes; the server takes each message as one step of its engine, so
@@ -25,22 +28,21 @@ writing to each other. `remaining` counts the utterances no client has
 claimed yet; at 0 a client stops without another connection, so it
 never races a `serve --once` that has exited.
 
-A session fails when its client breaks the protocol, sends a WRITE
-whose token is not an integer or whose token_index or src_consumed is
-not the server's count, makes a move the engine rejects (a WRITE before
-any READ or past the target end, a READ_REQ past the source end, EOS_TGT
-too early) or writes a token other than the engine's, each at that
-message, stays silent for `READ_TIMEOUT_S` or sends a line longer than
+A session fails when its client sends a message that `recv` refuses,
+a WRITE whose token_index or src_consumed is not the server's count,
+makes a move the engine rejects (a WRITE before any READ or past the
+target end, a READ_REQ past the source end, EOS_TGT too early) or
+writes a token other than the engine's, each at that message, stays
+silent for `READ_TIMEOUT_S` or sends a line longer than
 `MAX_FRAME_BYTES`. The server records `"<id>: <reason>"` in `failures`,
 sends ERROR on a best-effort basis, half-closes and discards the
 client's input until it closes too (at most `LINGER_S` and
 `LINGER_MAX_BYTES`), so a client still sending reads the ERROR line
 rather than a connection reset; its `recv` raises `ProtocolError("peer
-error: <reason>")`. A client raises `ProtocolError("bad <part>: ...")`
-for a HELLO utterance that does not parse or whose segments the engine
-cannot time, config that `config_from_dict` rejects, a SEGMENT without
-an integer index and a METRICS that `latency.metrics_from_dict` rejects
-or that names another session. Sockets run with TCP_NODELAY, so no
+error: <reason>")`. A client raises `ProtocolError` for a message that
+`recv` refuses, a HELLO utterance that does not parse or whose segments
+the engine cannot time, config that `config_from_dict` rejects, a
+SEGMENT out of order and a METRICS that names another session. Sockets run with TCP_NODELAY, so no
 message waits for the peer's delayed ACK.
 """
 
@@ -52,13 +54,14 @@ import socketserver
 import threading
 import time
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
 
 from .corpus import Utterance
 from .actions import InvalidTraceError
-from .latency import REPORT_CSV_COLUMNS, checked_field, is_int, metrics_from_dict, metrics_to_dict
+from .latency import (
+    COLUMN_RULES, INT, NUMBER, REPORT_CSV_COLUMNS, STR, checked_field, is_int, metrics_to_dict
+)
 from .session import (
     Session,
     SessionConfig,
@@ -70,7 +73,19 @@ from .session import (
     run_session,
 )
 
-MESSAGE_TYPES = ("HELLO", "SEGMENT", "READ_REQ", "WRITE", "EOS_TGT", "METRICS", "ERROR")
+# Each message type's body: its fields in the order they are sent, and the
+# (ok, want) rule recv checks each against; other keys pass. A rule of None:
+# run_client_session reads HELLO itself, by Utterance.from_json and
+# config_from_dict, after a HELLO {"done": true} from a server out of work.
+MESSAGES = {
+    "HELLO": {"done": None, "utterance": None, "config": None},
+    "READ_REQ": {},
+    "SEGMENT": {"index": INT, "payload": INT, "arrival_ms": NUMBER},
+    "WRITE": {"token_index": INT, "token": INT, "src_consumed": INT},
+    "EOS_TGT": {},
+    "METRICS": {**COLUMN_RULES, "remaining": INT},
+    "ERROR": {"reason": STR},
+}
 READ_TIMEOUT_S = 30.0  # server side: longest wait for a client's next message
 READ_WINDOW = 32  # client side: most READ_REQs sent whose SEGMENT is not read yet
 MAX_FRAME_BYTES = 1 << 20  # longest accepted line, newline excluded
@@ -83,11 +98,13 @@ class ProtocolError(RuntimeError):
 
 
 class _Channel:
-    """Framed JSON messages with per-direction sequence checking."""
+    """Framed JSON messages with per-direction sequence checking; closing
+    it (or leaving its `with`) closes the socket."""
 
     def __init__(self, sock: socket.socket, session_id: str = ""):
         if sock.family in (socket.AF_INET, socket.AF_INET6):
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.sock = sock
         self.rfile = sock.makefile("rb")
         self.wfile = sock.makefile("w", encoding="utf-8", newline="\n")
         self.session_id = session_id
@@ -96,7 +113,7 @@ class _Channel:
 
     def send(self, msg_type: str, body: dict, flush: bool = True) -> None:
         """Write one message; unless flush, it stays buffered until a later flush."""
-        if msg_type not in MESSAGE_TYPES:
+        if msg_type not in MESSAGES:
             raise ProtocolError(f"unknown message type {msg_type!r}")
         self._send_seq += 1
         record = {
@@ -109,7 +126,9 @@ class _Channel:
         if flush:
             self.wfile.flush()
 
-    def recv(self) -> tuple[str, dict]:
+    def recv(self, *expected: str) -> tuple[str, dict]:
+        """The next message, if its type is one of expected (any, if none
+        is named) and its body obeys MESSAGES; an ERROR raises."""
         line = self.rfile.readline(MAX_FRAME_BYTES + 1)
         if not line:
             raise ProtocolError("connection closed")
@@ -122,7 +141,7 @@ class _Channel:
         if not isinstance(record, dict):
             raise ProtocolError("malformed message: not an object")
         msg_type = record.get("type")
-        if msg_type not in MESSAGE_TYPES:
+        if type(msg_type) is not str or msg_type not in MESSAGES:  # [] cannot be looked up
             raise ProtocolError(f"unknown message type {msg_type!r}")
         seq = record.get("seq_no")
         if not is_int(seq):
@@ -133,28 +152,45 @@ class _Channel:
         body = record.get("body", {})
         if not isinstance(body, dict):
             raise ProtocolError("malformed message: body is not an object")
+        if expected and msg_type not in expected and msg_type != "ERROR":
+            raise ProtocolError(f"expected {' or '.join(expected)}, got {msg_type}")
+        try:
+            for key, rule in MESSAGES[msg_type].items():
+                if rule:
+                    checked_field(body, key, *rule)
+        except ValueError as exc:
+            raise ProtocolError(f"bad {msg_type}: {exc}") from None
         if msg_type == "ERROR":
-            raise ProtocolError(f"peer error: {body.get('reason', '')}")
+            raise ProtocolError(f"peer error: {body['reason']}")
         return msg_type, body
 
-    def close(self):
-        try:
-            self.rfile.close()
-            self.wfile.close()
-        except OSError:
-            pass
+    def close(self) -> None:
+        for f in (self.wfile, self.rfile, self.sock):
+            try:
+                f.close()
+            except OSError:  # the flush, to a peer that has gone
+                pass
+
+    def __enter__(self) -> "_Channel":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
 
 def _metrics_body(result: SessionResult) -> dict:
     return metrics_to_dict(result.utterance_id, result.report(), result.quality)
 
 
-class EvalServer:
+class EvalServer(socketserver.ThreadingTCPServer):
     """Serves one session per connection, in corpus order.
 
     Every claimed utterance ends in a METRICS sent or in one `failures`
     entry; `drained` is set once the last one has been settled and its
     connection closed."""
+
+    allow_reuse_address = True
+    daemon_threads = True
 
     def __init__(
         self,
@@ -174,21 +210,11 @@ class EvalServer:
         self._next = 0
         self._settled = 0
         self._lock = threading.Lock()
-        outer = self
-
-        class Handler(socketserver.BaseRequestHandler):  # _Channel makes the socket's files
-            def handle(self):
-                outer._handle(self.request)
-
-        class Server(socketserver.ThreadingTCPServer):
-            allow_reuse_address = True
-            daemon_threads = True
-
-        self._server = Server((host, port), Handler)
-        self.address = self._server.server_address
+        super().__init__((host, port), None)  # no handler class: finish_request serves
+        self.address = self.server_address
         # shutdown() waits for the accept loop's next poll
         self._thread = threading.Thread(
-            target=self._server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+            target=self.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
         )
 
     def start(self):
@@ -196,8 +222,11 @@ class EvalServer:
         return self
 
     def shutdown(self):
-        self._server.shutdown()
-        self._server.server_close()
+        super().shutdown()
+        self.server_close()
+
+    def finish_request(self, request: socket.socket, client_address) -> None:
+        self._handle(request)
 
     def _claim(self) -> Optional[Utterance]:
         with self._lock:
@@ -215,74 +244,63 @@ class EvalServer:
 
     def _handle(self, conn: socket.socket):
         utt = self._claim()
-        chan = None
         try:
             conn.settimeout(READ_TIMEOUT_S)
-            chan = _Channel(conn, session_id=utt.id if utt else "")
-            if utt is None:
-                chan.send("HELLO", {"done": True})
-                return
-            chan.send(
-                "HELLO",
-                {
-                    "done": False,
-                    "utterance": json.loads(utt.to_json()),
-                    "config": config_to_dict(self.config),
-                },
-            )
-            session = Session(utt, self.config)
-            t0 = time.monotonic()
-            while True:
-                msg_type, body = chan.recv()
-                if msg_type == "READ_REQ":
-                    arrival_us = session.read()
-                    r = session.reads
-                    if not self.fast_forward:
-                        wait_s = arrival_us / 1e6 - (time.monotonic() - t0)
-                        if wait_s > 0:
-                            time.sleep(wait_s)
-                    arrival_ms, payload = arrival_us / 1000, utt.source_tokens[r - 1]
-                    chan.send("SEGMENT", {"index": r, "payload": payload, "arrival_ms": arrival_ms})
-                elif msg_type == "WRITE":
-                    w, r = session.writes + 1, session.reads
-                    try:  # as _reading does, without its generator: a WRITE comes per token
-                        token = checked_field(body, "token", is_int, "an integer")
-                        checked_field(body, "token_index", lambda v: is_int(v) and v == w, f"{w}")
-                        checked_field(body, "src_consumed", lambda v: is_int(v) and v == r, f"{r}")
-                    except ValueError as exc:
-                        raise ProtocolError(f"bad WRITE: {exc}") from None
-                    stub = session.write()
-                    if token != stub:
-                        raise ProtocolError(f"client token {token} disagrees with stub {stub}")
-                elif msg_type == "EOS_TGT":
-                    break
-                else:
-                    raise ProtocolError(f"unexpected {msg_type} from client")
-            result = session.end()
-            remaining = len(self.corpus) - self._next
-            chan.send("METRICS", {**_metrics_body(result), "remaining": remaining})
-        except Exception as exc:  # one bad session must not take the server down
-            if isinstance(exc, ProtocolError):
-                reason = str(exc)
-            elif isinstance(exc, InvalidTraceError):  # a step of the session engine
-                reason = f"invalid schedule: {exc}"
-            elif isinstance(exc, TimeoutError):
-                reason = f"timed out after {READ_TIMEOUT_S:g} s"
-            else:
-                reason = f"{type(exc).__name__}: {exc}"
-            with self._lock:
-                self.failures.append(f"{utt.id if utt else '?'}: {reason}")
-            if chan is not None:
+            with _Channel(conn, session_id=utt.id if utt else "") as chan:
                 try:
-                    chan.send("ERROR", {"reason": reason})
-                except OSError:
-                    pass
-                _linger(conn)
+                    self._serve(chan, utt)
+                except Exception as exc:  # one bad session must not take the server down
+                    if isinstance(exc, ProtocolError):
+                        reason = str(exc)
+                    elif isinstance(exc, InvalidTraceError):  # a step of the session engine
+                        reason = f"invalid schedule: {exc}"
+                    elif isinstance(exc, TimeoutError):
+                        reason = f"timed out after {READ_TIMEOUT_S:g} s"
+                    else:
+                        reason = f"{type(exc).__name__}: {exc}"
+                    with self._lock:
+                        self.failures.append(f"{utt.id if utt else '?'}: {reason}")
+                    try:
+                        chan.send("ERROR", {"reason": reason})
+                    except OSError:
+                        pass
+                    _linger(conn)
         finally:
-            if chan is not None:
-                chan.close()
             if utt is not None:
                 self._settle()
+
+    def _serve(self, chan: _Channel, utt: Optional[Utterance]) -> None:
+        if utt is None:
+            chan.send("HELLO", {"done": True})
+            return
+        utterance, config = json.loads(utt.to_json()), config_to_dict(self.config)
+        chan.send("HELLO", {"done": False, "utterance": utterance, "config": config})
+        session = Session(utt, self.config)
+        t0 = time.monotonic()
+        while True:
+            msg_type, body = chan.recv("READ_REQ", "WRITE", "EOS_TGT")
+            if msg_type == "READ_REQ":
+                arrival_us = session.read()
+                if not self.fast_forward:
+                    wait_s = arrival_us / 1e6 - (time.monotonic() - t0)
+                    if wait_s > 0:
+                        time.sleep(wait_s)
+                r = session.reads
+                segment = {"index": r, "payload": utt.source_tokens[r - 1]}
+                chan.send("SEGMENT", {**segment, "arrival_ms": arrival_us / 1000})
+            elif msg_type == "WRITE":
+                w, r = session.writes + 1, session.reads
+                for key, count in (("token_index", w), ("src_consumed", r)):
+                    if body[key] != count:
+                        raise ProtocolError(f"bad WRITE: {key} {body[key]} is not {count}")
+                stub = session.write()
+                if body["token"] != stub:
+                    raise ProtocolError(f"client token {body['token']} disagrees with stub {stub}")
+            else:  # EOS_TGT
+                break
+        result = session.end()
+        remaining = len(self.corpus) - self._next
+        chan.send("METRICS", {**_metrics_body(result), "remaining": remaining})
 
 
 def _linger(conn: socket.socket) -> None:
@@ -326,43 +344,26 @@ class SessionExchange:
         return max(abs(ours[k] - theirs[k]) for k in REPORT_CSV_COLUMNS[1:])  # all but the id
 
 
-@contextmanager
-def _reading(what: str):
-    """Turn a malformed message part into ProtocolError("bad <what>: ...")."""
-    try:
-        yield
-    except KeyError as exc:
-        raise ProtocolError(f"bad {what}: missing field {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise ProtocolError(f"bad {what}: {exc}") from None
-
-
 def _read_segment(chan: _Channel, index: int) -> None:
     """Read the next message, which must be the SEGMENT of read `index`."""
-    msg_type, seg = chan.recv()
-    if msg_type != "SEGMENT":
-        raise ProtocolError(f"expected SEGMENT, got {msg_type}")
-    try:  # as _reading does, without its generator: a SEGMENT comes per read
-        got = checked_field(seg, "index", is_int, "an integer")
-    except ValueError as exc:
-        raise ProtocolError(f"bad SEGMENT: {exc}") from None
-    if got != index:
+    if chan.recv("SEGMENT")[1]["index"] != index:
         raise ProtocolError("segment order violated")
 
 
 def run_client_session(host: str, port: int) -> Optional[SessionExchange]:
     """Run one networked session; None when the server is out of work."""
-    with socket.create_connection((host, port)) as sock:
-        chan = _Channel(sock)
-        msg_type, body = chan.recv()
-        if msg_type != "HELLO":
-            raise ProtocolError(f"expected HELLO, got {msg_type}")
-        if body.get("done"):
+    with socket.create_connection((host, port)) as sock, _Channel(sock) as chan:
+        hello = chan.recv("HELLO")[1]
+        if hello.get("done"):
             return None
-        with _reading("HELLO utterance"):
-            utt = Utterance.from_json(json.dumps(body["utterance"]))
-        with _reading("HELLO config"):
-            config = config_from_dict(body.get("config"))
+        try:
+            utt = Utterance.from_json(json.dumps(hello.get("utterance")))
+        except ValueError as exc:
+            raise ProtocolError(f"bad HELLO utterance: {exc}") from None
+        try:
+            config = config_from_dict(hello.get("config"))
+        except ValueError as exc:
+            raise ProtocolError(f"bad HELLO config: {exc}") from None
         try:  # an utterance whose segments the engine cannot time
             local = run_session(utt, config, policy_from_spec(config.policy))
         except SessionError as exc:
@@ -384,14 +385,11 @@ def run_client_session(host: str, port: int) -> Optional[SessionExchange]:
         chan.send("EOS_TGT", {})
         for index in unanswered:
             _read_segment(chan, index)
-        msg_type, server_metrics = chan.recv()
-        if msg_type != "METRICS":
-            raise ProtocolError(f"expected METRICS, got {msg_type}")
-        with _reading("METRICS"):
-            metrics_id = metrics_from_dict(server_metrics)[0]
-            if metrics_id != utt.id:
-                raise ValueError(f"id {metrics_id!r} is not this session's {utt.id!r}")
-        return SessionExchange(utt.id, _metrics_body(local), server_metrics)
+        metrics = chan.recv("METRICS")[1]
+        if metrics["id"] != utt.id:
+            other = metrics["id"]
+            raise ProtocolError(f"bad METRICS: id {other!r} is not this session's {utt.id!r}")
+        return SessionExchange(utt.id, _metrics_body(local), metrics)
 
 
 def connect(host: str, port: int, max_sessions: Optional[int] = None) -> list[SessionExchange]:
@@ -402,6 +400,6 @@ def connect(host: str, port: int, max_sessions: Optional[int] = None) -> list[Se
         if exchange is None:
             break
         out.append(exchange)
-        if exchange.server_metrics.get("remaining") == 0:
+        if exchange.server_metrics["remaining"] == 0:
             break
     return out

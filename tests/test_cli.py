@@ -10,10 +10,11 @@ from pathlib import Path
 
 import pytest
 
+from conftest import bad_fields, with_field
 from simulstream.cli import main
 from simulstream.corpus import read_corpus
 from simulstream.latency import report_csv_header
-from simulstream.wire import ProtocolError, _Channel
+from simulstream.wire import ProtocolError, _Channel, _linger
 
 
 def _gen(tmp_path, name="corpus.jsonl", n=8, seed=3, **kw):
@@ -430,8 +431,8 @@ def test_serve_once_exits_after_invalid_schedule(tmp_path, capsys):
         except OSError:
             assert time.monotonic() < deadline
             time.sleep(0.05)
-    with sock:
-        chan = _Channel(sock)
+    # the channel closes the socket with its files, so the server need not linger
+    with sock, _Channel(sock) as chan:
         chan.recv()
         # WRITE before any READ: the server's engine rejects that step
         chan.send("WRITE", {"token_index": 1, "token": 0, "src_consumed": 0})
@@ -633,16 +634,16 @@ def test_serve_bind_failure_is_one_error(tmp_path, capsys, monkeypatch, fault):
 
 
 def _fake_server(reply):
-    """A listening socket whose first client gets reply(channel); returns its port."""
+    """A listening socket whose first client gets reply(channel); returns its port.
+    Then it lingers as the real server does, so no reply is lost to a reset."""
     listener = socket.create_server(("127.0.0.1", 0))
 
     def run():
         with listener:
             conn, _ = listener.accept()
-            with conn:
-                chan = _Channel(conn)
+            with _Channel(conn) as chan:
                 reply(chan)
-                chan.close()
+                _linger(conn)
 
     threading.Thread(target=run, daemon=True).start()
     return listener.getsockname()[1]
@@ -671,11 +672,14 @@ def _fake_session(utterance, segment, metrics):
 
 
 def test_connect_errors_are_one_line(tmp_path, capsys):
-    with socket.socket() as probe:
-        probe.bind(("127.0.0.1", 0))
-        closed_port = probe.getsockname()[1]
+    # bound but not listening, so a connection is refused; held open, so
+    # that no fake server below is given its port
+    probe = socket.socket()
+    probe.bind(("127.0.0.1", 0))
+    closed_port = probe.getsockname()[1]
     utterance = json.loads(read_corpus(str(_gen(tmp_path, n=1)))[0].to_json())
-    bad_hello = {"done": False, "utterance": utterance, "config": {"policy": {"kind": "psychic"}}}
+    hello = {"done": False, "utterance": utterance, "config": {}}
+    bad_hello = dict(hello, config={"policy": {"kind": "psychic"}})
     compute_kind = {"compute": {"kind": "fixed_cost"}}
     too_large = dict(bad_hello, config={"unit_ms": 1e308})
     float_token = dict(bad_hello, utterance=dict(utterance, source=[1.5, *utterance["source"][1:]]))
@@ -738,13 +742,36 @@ def test_connect_errors_are_one_line(tmp_path, capsys):
             _fake_server(_fake_session(utterance, lambda r: {"payload": 0}, metrics)),
             "bad SEGMENT: missing field 'index'",
         ),
+        "segment-first": (
+            _fake_server(lambda chan: chan.send("SEGMENT", segment(1))),
+            "expected HELLO, got SEGMENT",
+        ),
+        "segment-out-of-order": (
+            _fake_server(_fake_session(utterance, lambda r: segment(r + 1), metrics)),
+            "segment order violated",
+        ),
+        "metrics-for-segment": (
+            _fake_server(lambda chan: (chan.send("HELLO", hello), chan.send("METRICS", metrics))),
+            "expected SEGMENT, got METRICS",
+        ),
     }
-    for name, (port, message) in cases.items():
-        with pytest.raises(SystemExit) as exc:
-            main(["connect", "--port", str(port)])
-        assert exc.value.code == 2, name
-        err = _one_error_line(capsys)
-        assert f"127.0.0.1:{port}" in err and message in err, name
+    for case, key, value, reason in bad_fields("SEGMENT"):
+        bad = lambda r, key=key, value=value: with_field(segment(r), key, value)
+        cases[f"segment-{case}"] = (_fake_server(_fake_session(utterance, bad, metrics)), reason)
+    for case, key, value, reason in bad_fields("METRICS"):
+        bad = with_field(metrics, key, value)
+        cases[f"metrics-{case}"] = (_fake_server(_fake_session(utterance, segment, bad)), reason)
+    for case, key, value, reason in bad_fields("ERROR"):
+        bad = with_field({"reason": "no work for you"}, key, value)
+        reply = lambda chan, bad=bad: chan.send("ERROR", bad)
+        cases[f"error-{case}"] = (_fake_server(reply), reason)
+    with probe:
+        for name, (port, message) in cases.items():
+            with pytest.raises(SystemExit) as exc:
+                main(["connect", "--port", str(port)])
+            assert exc.value.code == 2, name
+            err = _one_error_line(capsys)
+            assert f"127.0.0.1:{port}" in err and message in err, name
 
 
 @pytest.mark.parametrize("n", ["0", "-3"])

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import select
 import socket
 import threading
@@ -8,6 +9,7 @@ from collections import Counter
 
 import pytest
 
+from conftest import bad_fields, with_field
 from simulstream.corpus import SyntheticTaskSpec, Utterance, generate_corpus
 from simulstream.session import (
     ComputeModel,
@@ -148,6 +150,22 @@ def test_session_bytes_pinned():
     assert hashlib.sha256(received).hexdigest() == (
         "4d014b01b1cab2c675add8796aa01e0a59eb8728962ea004431abfc41848b058"
     )
+
+
+def test_sent_bodies_have_the_fields_of_the_message_table():
+    srv = serve("127.0.0.1", 0, _corpus(1), _config())
+    try:
+        exchange, sent, received = _relayed_session(srv.address)
+        done, _, done_received = _relayed_session(srv.address)
+    finally:
+        srv.shutdown()
+    assert exchange is not None and done is None
+    messages = [json.loads(line) for line in (sent + received).splitlines()]
+    assert {m["type"] for m in messages} == set(wire.MESSAGES) - {"ERROR"}
+    for m in messages:
+        assert list(m["body"]) == list(wire.MESSAGES[m["type"]]), m["type"]
+    # the one exception: a server out of work sends HELLO with done alone
+    assert [json.loads(line)["body"] for line in done_received.splitlines()] == [{"done": True}]
 
 
 def test_server_reports_done_when_drained(server):
@@ -335,8 +353,9 @@ def test_channel_round_trip_and_nodelay(make_pair):
         if a.family != socket.AF_UNIX:
             for sock in (a, b):
                 assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) != 0
-        chan_a.send("WRITE", {"token": 7})
-        assert chan_b.recv() == ("WRITE", {"token": 7})
+        body = {"token_index": 1, "token": 7, "src_consumed": 1}
+        chan_a.send("WRITE", body)
+        assert chan_b.recv() == ("WRITE", body)
     finally:
         a.close()
         b.close()
@@ -395,15 +414,36 @@ def _oversized(chan, utt):
     chan.wfile.flush()
 
 
-def _read_req(**seq_no):
-    """A client that sends one READ_REQ frame with seq_no as given, or none."""
+def _frame(**fields):
+    """A client that sends one READ_REQ frame, its fields replaced as given;
+    a field given as None is left out."""
 
     def client(chan, utt):
-        frame = {"type": "READ_REQ", "session_id": "", **seq_no, "body": {}}
-        chan.wfile.write(json.dumps(frame) + "\n")
+        frame = {"type": "READ_REQ", "session_id": "", "seq_no": 1, "body": {}, **fields}
+        chan.wfile.write(json.dumps({k: v for k, v in frame.items() if v is not None}) + "\n")
         chan.wfile.flush()
 
     return client
+
+
+def _sends(msg_type):
+    """A client whose first message has a type only the server sends."""
+    return lambda chan, utt: chan.send(msg_type, {})
+
+
+def _bad_write(key, value):
+    """A client that reads one segment, then sends a WRITE with key set to value."""
+
+    def client(chan, utt):
+        chan.send("READ_REQ", {})
+        chan.recv()
+        body = {"token_index": 1, "token": utt["target"][0], "src_consumed": 1}
+        chan.send("WRITE", with_field(body, key, value))
+
+    return client
+
+
+_BAD_WRITES = list(bad_fields("WRITE"))
 
 
 @pytest.mark.parametrize(
@@ -414,8 +454,8 @@ def _read_req(**seq_no):
         (_silent, "timed out after 0.2 s"),
         (_oversized, "frame too long"),
         # a bool is not an integer, so true is not sequence number 1
-        (_read_req(seq_no=True), "sequence number True is not an integer"),
-        (_read_req(), "sequence number None is not an integer"),
+        (_frame(seq_no=True), "sequence number True is not an integer"),
+        (_frame(seq_no=None), "sequence number None is not an integer"),
         (
             _writes(lambda target: [str(target[0]), *(t + 0.5 for t in target[1:])]),
             "bad WRITE: token '",
@@ -427,11 +467,20 @@ def _read_req(**seq_no):
         (_write_before_read, "invalid schedule: trace must begin with READ"),
         (_write_past_target, "invalid schedule: write past target end at step"),
         (_read_past_source, "invalid schedule: read past source end at step"),
+        *(
+            (_sends(t), f"expected READ_REQ or WRITE or EOS_TGT, got {t}")
+            for t in ("HELLO", "SEGMENT", "METRICS")
+        ),
+        (_frame(type="NONSENSE"), "unknown message type 'NONSENSE'"),
+        (_frame(type=[]), "unknown message type []"),  # unhashable: no dict lookup
+        *((_bad_write(key, value), reason) for _, key, value, reason in _BAD_WRITES),
     ],
     ids=[
         "invalid-schedule", "non-dict-body", "silent", "oversized", "bool-seq-no",
         "missing-seq-no", "string-token", "fractional-token", "skipped-index", "wrong-src-consumed",
-        "write-before-read", "write-past-target", "read-past-source",
+        "write-before-read", "write-past-target", "read-past-source", "sends-hello",
+        "sends-segment", "sends-metrics", "unknown-type", "list-type",
+        *(f"write-{case}" for case, *_ in _BAD_WRITES),
     ],
 )
 def test_bad_client_is_recorded_and_told(misbehave, reason, monkeypatch, capsys):
@@ -439,13 +488,11 @@ def test_bad_client_is_recorded_and_told(misbehave, reason, monkeypatch, capsys)
     srv = serve("127.0.0.1", 0, _corpus(2), _config())
     try:
         # the client-side timeout turns a server that never answers into a failure
-        with socket.create_connection(srv.address, timeout=10) as sock:
-            chan = _Channel(sock)
+        with socket.create_connection(srv.address, timeout=10) as sock, _Channel(sock) as chan:
             _, hello = chan.recv()
             misbehave(chan, hello["utterance"])
-            with pytest.raises(ProtocolError, match=f"peer error: .*{reason}"):
+            with pytest.raises(ProtocolError, match=f"peer error: .*{re.escape(reason)}"):
                 chan.recv()
-            chan.close()  # the socket's files hold it open, and the server lingers until EOF
         uid = hello["utterance"]["id"]
         assert len(srv.failures) == 1
         assert srv.failures[0].startswith(f"{uid}: ") and reason in srv.failures[0]
@@ -465,8 +512,8 @@ def test_client_still_sending_reads_error_line(mib):
     # not reset the connection before the client has read the ERROR line
     srv = serve("127.0.0.1", 0, _corpus(1), _config())
     try:
-        with socket.create_connection(srv.address, timeout=10) as sock:
-            chan = _Channel(sock)
+        # the channel closes the socket with its files, so the server need not linger
+        with socket.create_connection(srv.address, timeout=10) as sock, _Channel(sock) as chan:
             chan.recv()
             chan.wfile.write("x" * (mib << 20) + "\n")
             chan.wfile.flush()
@@ -569,3 +616,18 @@ def test_pipelined_client_reads_error_sent_mid_session(monkeypatch):
     for thread in set(threading.enumerate()) - before:
         thread.join(wire.LINGER_S)
         assert not thread.is_alive(), thread
+
+
+def test_kept_protocol_error_does_not_hold_the_server(monkeypatch):
+    # the caller keeps the error, and with it run_client_session's frame;
+    # the channel has closed its socket all the same, so the server sees EOF
+    # at once instead of lingering LINGER_S
+    monkeypatch.setattr(wire, "Session", _LyingSession)
+    srv = serve("127.0.0.1", 0, _corpus(1), _config())
+    try:
+        with pytest.raises(ProtocolError, match="^peer error: ") as kept:
+            run_client_session(*srv.address)
+        assert srv.drained.wait(0.5)
+    finally:
+        srv.shutdown()
+    assert kept.value.__traceback__ is not None
