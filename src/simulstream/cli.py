@@ -269,6 +269,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_serve(args) -> int:
+    import signal
     from . import wire  # here, as only serve and connect need sockets
 
     corpus = _read_corpus_or_die(args.corpus)
@@ -277,11 +278,12 @@ def cmd_serve(args) -> int:
         server = wire.serve(args.host, args.port, corpus, config, fast_forward=not args.pace)
     except (OSError, OverflowError) as exc:  # a busy port, a port past 65535, an unknown host
         raise CliError(f"cannot serve on {args.host}:{args.port}: {exc}")
-    host, port = server.address[0], server.address[1]
-    print(f"serving {len(corpus)} utterances on {host}:{port}")
-    # without --once, serve until interrupted
+    # without --once, serve until interrupted: by Ctrl-C, or by SIGTERM as if it were one
     done = server.drained if args.once else threading.Event()
     try:
+        if threading.current_thread() is threading.main_thread():  # elsewhere signal.signal raises
+            signal.signal(signal.SIGTERM, signal.default_int_handler)
+        print("serving %d utterances on %s:%d" % (len(corpus), *server.address))
         done.wait()
     except KeyboardInterrupt:
         pass

@@ -8,9 +8,10 @@ outputs:
 
 tau cuts the sum at the first output that had the whole source
 available, because later outputs lag only by construction of the
-metric, not by policy choice. Two variants share the formula: ideal
-delays count only input waiting; computation-aware delays add compute
-time charged by the session.
+metric, not by policy choice. Two variants share the formula and AL's
+tau, `full_source_index`: ideal delays count only input waiting; CA-AL
+adds the session's compute time, so it can fall as k rises (620 ms at
+wait-1, 480 at wait-2 for a 2x2 utterance at 400 ms vocoder per unit).
 """
 
 from __future__ import annotations
@@ -180,6 +181,7 @@ def checked_field(d: dict, key: str, ok, want: str):
 
 # (ok, want) rules for checked_field
 STR = (lambda v: type(v) is str, "a string")
+BOOL = (lambda v: type(v) is bool, "true or false")
 INT = (is_int, "an integer")
 NUMBER = (is_number, "a finite number")
 # a stored token list: a JSON list of integers, none a bool

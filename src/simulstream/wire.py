@@ -1,7 +1,8 @@
 """Newline-delimited JSON wire protocol for networked evaluation.
 
-One session per connection. The server owns the corpus and the session
-config; the client is the deciding agent. Flow:
+One session per connection, on the thread that accepted it: one that
+accepts while no other waits starts another first. The server owns the
+corpus and the session config; the client is the deciding agent. Flow:
 
     server -> HELLO
     client -> READ_REQ  (one per read in its log)
@@ -50,7 +51,6 @@ from __future__ import annotations
 
 import json
 import socket
-import socketserver
 import threading
 import time
 from collections import deque
@@ -60,7 +60,7 @@ from typing import Optional
 from .corpus import Utterance
 from .actions import InvalidTraceError
 from .latency import (
-    COLUMN_RULES, INT, NUMBER, REPORT_CSV_COLUMNS, STR, checked_field, is_int, metrics_to_dict
+    BOOL, COLUMN_RULES, INT, NUMBER, REPORT_CSV_COLUMNS, STR, checked_field, is_int, metrics_to_dict
 )
 from .session import (
     Session,
@@ -75,10 +75,10 @@ from .session import (
 
 # Each message type's body: its fields in the order they are sent, and the
 # (ok, want) rule recv checks each against; other keys pass. A rule of None:
-# run_client_session reads HELLO itself, by Utterance.from_json and
-# config_from_dict, after a HELLO {"done": true} from a server out of work.
+# run_client_session reads the field itself, by Utterance.from_json and
+# config_from_dict; a server out of work sends HELLO {"done": true} alone.
 MESSAGES = {
-    "HELLO": {"done": None, "utterance": None, "config": None},
+    "HELLO": {"done": BOOL, "utterance": None, "config": None},
     "READ_REQ": {},
     "SEGMENT": {"index": INT, "payload": INT, "arrival_ms": NUMBER},
     "WRITE": {"token_index": INT, "token": INT, "src_consumed": INT},
@@ -182,15 +182,12 @@ def _metrics_body(result: SessionResult) -> dict:
     return metrics_to_dict(result.utterance_id, result.report(), result.quality)
 
 
-class EvalServer(socketserver.ThreadingTCPServer):
+class EvalServer:
     """Serves one session per connection, in corpus order.
 
     Every claimed utterance ends in a METRICS sent or in one `failures`
     entry; `drained` is set once the last one has been settled and its
     connection closed."""
-
-    allow_reuse_address = True
-    daemon_threads = True
 
     def __init__(
         self,
@@ -210,23 +207,49 @@ class EvalServer(socketserver.ThreadingTCPServer):
         self._next = 0
         self._settled = 0
         self._lock = threading.Lock()
-        super().__init__((host, port), None)  # no handler class: finish_request serves
-        self.address = self.server_address
-        # shutdown() waits for the accept loop's next poll
-        self._thread = threading.Thread(
-            target=self.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
-        )
+        self._listener = socket.create_server((host, port))  # IPv4, SO_REUSEADDR on POSIX
+        self.address = self._listener.getsockname()
+        self._waiting: set[threading.Thread] = set()  # in accept(), or on their way to it
+        self._closed = False
 
     def start(self):
-        self._thread.start()
+        self._spawn()
         return self
 
-    def shutdown(self):
-        super().shutdown()
-        self.server_close()
+    def _spawn(self) -> None:  # under self._lock, or from start()
+        name = f"EvalServer:{self.address[1]}"
+        thread = threading.Thread(target=self._accept_loop, name=name, daemon=True)
+        self._waiting.add(thread)
+        thread.start()
 
-    def finish_request(self, request: socket.socket, client_address) -> None:
-        self._handle(request)
+    def _accept_loop(self) -> None:
+        while not self._closed:
+            try:
+                conn = self._listener.accept()[0]
+            except OSError:  # the listener closed, or a client gone before accept
+                continue
+            with self._lock:
+                self._waiting.discard(threading.current_thread())
+                if not (self._closed or self._waiting):
+                    self._spawn()
+            with conn:
+                if not self._closed:  # else a wake-up from shutdown, or a client too late
+                    self._handle(conn)
+            with self._lock:
+                self._waiting.add(threading.current_thread())
+
+    def shutdown(self) -> None:
+        with self._lock:
+            self._closed = True
+            woken = list(self._waiting)
+            try:  # a connection wakes one thread blocked in accept()
+                for _ in woken:
+                    socket.create_connection(self.address).close()
+            except OSError:  # one may stay in accept(): a daemon, it ends with the process
+                woken = []
+            self._listener.close()
+        for thread in woken:  # so what each accepted is closed before the process can exit
+            thread.join()
 
     def _claim(self) -> Optional[Utterance]:
         with self._lock:
@@ -354,7 +377,7 @@ def run_client_session(host: str, port: int) -> Optional[SessionExchange]:
     """Run one networked session; None when the server is out of work."""
     with socket.create_connection((host, port)) as sock, _Channel(sock) as chan:
         hello = chan.recv("HELLO")[1]
-        if hello.get("done"):
+        if hello["done"]:
             return None
         try:
             utt = Utterance.from_json(json.dumps(hello.get("utterance")))

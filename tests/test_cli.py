@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import bad_fields, with_field
+from conftest import MISSING, bad_fields, with_field
 from simulstream.cli import main
 from simulstream.corpus import read_corpus
 from simulstream.latency import report_csv_header
@@ -447,6 +447,36 @@ def test_serve_once_exits_after_invalid_schedule(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_serve_ends_on_sigterm_with_its_failed_lines(tmp_path):
+    # a serve without --once runs until stopped; SIGTERM stops it as Ctrl-C
+    # does, so the sessions it failed are still reported
+    corpus = _gen(tmp_path, n=2)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    argv = [sys.executable, "-u", "-m", "simulstream.cli", "serve", "--corpus", str(corpus),
+            "--port", "0"]
+    proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True)
+    try:
+        port = int(proc.stdout.readline().rsplit(":", 1)[1])
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as sock, \
+                _Channel(sock) as chan:
+            chan.recv()
+            chan.send("WRITE", {"token_index": 1, "token": 0, "src_consumed": 0})
+            # the server records a failure before it sends the ERROR
+            with pytest.raises(ProtocolError, match="peer error"):
+                chan.recv()
+        proc.terminate()
+        out, err = proc.communicate(timeout=10)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 1, (proc.returncode, err)
+    assert len([ln for ln in err.splitlines() if ln.startswith("failed:")]) == 1
+    assert "Traceback" not in err
+
+
 def _exit_codes(argv) -> list:
     """The exit codes main(argv) raised, run in a thread with a bounded join:
     a serve --once that wrongly started would wait for a client forever."""
@@ -711,8 +741,21 @@ def test_connect_errors_are_one_line(tmp_path, capsys):
             "bad HELLO config: unknown key 'kind' at $['compute']",
         ),
         "bad-hello-utterance": (
-            _fake_server(lambda chan: chan.send("HELLO", {"utterance": {"id": "u"}, "config": {}})),
+            _fake_server(lambda chan: chan.send("HELLO", dict(hello, utterance={"id": "u"}))),
             "bad HELLO utterance: missing field 'source'",
+        ),
+        # a truthy done that is not true must not read as a server out of work
+        "hello-done-string": (
+            _fake_server(lambda chan: chan.send("HELLO", dict(hello, done="no"))),
+            "bad HELLO: done 'no' is not true or false",
+        ),
+        "hello-done-int": (
+            _fake_server(lambda chan: chan.send("HELLO", dict(hello, done=1))),
+            "bad HELLO: done 1 is not true or false",
+        ),
+        "hello-without-done": (
+            _fake_server(lambda chan: chan.send("HELLO", with_field(hello, "done", MISSING))),
+            "bad HELLO: missing field 'done'",
         ),
         "hello-float-token": (
             _fake_server(lambda chan: chan.send("HELLO", dict(float_token, config={}))),

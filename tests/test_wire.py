@@ -3,7 +3,9 @@ import json
 import re
 import select
 import socket
+import sys
 import threading
+import time
 import tracemalloc
 from collections import Counter
 
@@ -52,6 +54,29 @@ def server():
     srv = serve("127.0.0.1", 0, _corpus(), _config())
     yield srv
     srv.shutdown()
+
+
+def _server_threads(srv):
+    return [t for t in threading.enumerate() if t.name == f"EvalServer:{srv.address[1]}"]
+
+
+@pytest.fixture(autouse=True)
+def no_server_thread_outlives_shutdown(monkeypatch):
+    """Fail a test that leaves a server thread alive LINGER_S + 1 s after
+    that server's shutdown(): a session in progress may linger, no more."""
+    shut = []  # (server, deadline) per shutdown() call
+    shutdown = wire.EvalServer.shutdown
+
+    def recording_shutdown(srv):
+        shutdown(srv)
+        shut.append((srv, time.monotonic() + wire.LINGER_S + 1))
+
+    monkeypatch.setattr(wire.EvalServer, "shutdown", recording_shutdown)
+    yield
+    for srv, deadline in shut:
+        for thread in _server_threads(srv):
+            thread.join(max(0.0, deadline - time.monotonic()))
+            assert not thread.is_alive(), f"{thread.name} outlived shutdown()"
 
 
 def test_config_dict_round_trip():
@@ -174,6 +199,97 @@ def test_server_reports_done_when_drained(server):
     assert run_client_session(host, port) is None
     # drained server answers every later connection the same way
     assert connect(host, port) == []
+
+
+def _run_clients(address, n):
+    """n run_client_session(address) at once, each on its own thread
+    joined within 10 s; the exchanges of those that finished."""
+    done = []
+    clients = [
+        threading.Thread(target=lambda: done.append(run_client_session(*address)), daemon=True)
+        for _ in range(n)
+    ]
+    for client in clients:
+        client.start()
+    for client in clients:
+        client.join(10)
+    return done
+
+
+def test_open_session_does_not_block_another(server):
+    # the first client holds its session after HELLO; a serial server would
+    # never answer the second
+    with socket.create_connection(server.address, timeout=10) as sock, _Channel(sock) as chan:
+        chan.recv("HELLO")
+        second = _run_clients(server.address, 1)
+    assert len(second) == 1 and second[0].max_field_gap() == 0.0
+
+
+def test_sequential_sessions_reuse_server_threads(monkeypatch):
+    # no thread per session: a closed-loop client needs two threads (one
+    # serving, one waiting) and a third only when it connects before the
+    # thread that served it has gone back to accept()
+    started = []
+    start = threading.Thread.start
+
+    def counted_start(thread):
+        started.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted_start)
+    srv = serve("127.0.0.1", 0, _corpus(20), _config())
+    try:
+        exchanges = connect(*srv.address)
+    finally:
+        srv.shutdown()
+    assert len(exchanges) == 20 and srv.failures == []
+    assert 2 <= len(started) <= 3, started
+
+
+def test_shutdown_after_concurrent_sessions_ends_every_thread(monkeypatch):
+    # three sessions in flight at once: each client waits at a barrier after
+    # HELLO until all three have theirs
+    together = threading.Barrier(3, timeout=10)
+
+    def run_session_together(*args):
+        together.wait()
+        return run_session(*args)
+
+    monkeypatch.setattr(wire, "run_session", run_session_together)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    srv = serve("127.0.0.1", 0, _corpus(3), _config())
+    try:
+        exchanges = _run_clients(srv.address, 3)
+        assert srv.drained.wait(5)
+    finally:
+        sys.setswitchinterval(interval)
+        t0 = time.monotonic()
+        srv.shutdown()
+    assert time.monotonic() - t0 < 1.0
+    assert len(exchanges) == 3 and max(ex.max_field_gap() for ex in exchanges) == 0.0
+    assert not together.broken and srv.failures == []
+    for thread in _server_threads(srv):
+        thread.join(max(0.0, t0 + 1.0 - time.monotonic()))
+        assert not thread.is_alive(), thread
+
+
+def test_shutdown_wakeups_claim_nothing(monkeypatch):
+    claimed = []
+    claim = wire.EvalServer._claim
+
+    def recorded_claim(srv):
+        claimed.append(claim(srv))
+        return claimed[-1]
+
+    monkeypatch.setattr(wire.EvalServer, "_claim", recorded_claim)
+    srv = serve("127.0.0.1", 0, _corpus(2), _config())
+    try:
+        assert len(connect(*srv.address, max_sessions=1)) == 1
+    finally:
+        srv.shutdown()
+    # one thread woken per waiter, each of which closes its wake-up unclaimed
+    assert len(claimed) == 1 and srv.failures == [] and not srv.drained.is_set()
 
 
 def test_max_sessions_limits_drain(server):
