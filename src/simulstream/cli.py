@@ -10,15 +10,13 @@ Subcommands:
     connect     drain a server, cross-check its metrics, write CSV
 
 Configuration precedence: command-line flags override the --config file,
-which overrides built-in defaults. The only environment variable read is
-SIMULSTREAM_LOG (log level name).
+which overrides built-in defaults.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import logging
 import os
 import sys
 import threading
@@ -34,7 +32,7 @@ from .corpus import (
     read_corpus,
     write_corpus,
 )
-from .latency import corpus_mean, metrics_from_dict, report_csv_header, report_csv_row
+from .latency import LatencyReport, corpus_mean, report_csv_header, report_csv_row
 from .session import (
     SessionConfig,
     SessionError,
@@ -274,10 +272,13 @@ def cmd_serve(args) -> int:
 
     corpus = _read_corpus_or_die(args.corpus)
     config = build_config(args)
+    where = f"cannot serve on {args.host}:{args.port}"
+    if not 0 <= args.port <= 65535:  # else bind raises OverflowError, and the socket leaks
+        raise CliError(f"{where}: port must be in 0..65535")
     try:
         server = wire.serve(args.host, args.port, corpus, config, fast_forward=not args.pace)
-    except (OSError, OverflowError) as exc:  # a busy port, a port past 65535, an unknown host
-        raise CliError(f"cannot serve on {args.host}:{args.port}: {exc}")
+    except OSError as exc:  # a busy port, an unknown host
+        raise CliError(f"{where}: {exc}")
     # without --once, serve until interrupted: by Ctrl-C, or by SIGTERM as if it were one
     done = server.drained if args.once else threading.Event()
     try:
@@ -313,8 +314,9 @@ def cmd_connect(args) -> int:
             raise CliError(f"connect {args.host}:{args.port}: {exc}")
         if out:
             out.write(report_csv_header() + "\n")
-            for e in exchanges:  # run_client_session has checked each one
-                out.write(report_csv_row(*metrics_from_dict(e.server_metrics)) + "\n")
+            for m in (e.server_metrics for e in exchanges):  # run_client_session checked each
+                report = LatencyReport(*map(m.get, LatencyReport._fields))
+                out.write(report_csv_row(m["id"], report, m["quality"]) + "\n")
     mismatched = [e for e in exchanges if e.max_field_gap() > 0]
     print(f"completed {len(exchanges)} sessions; {len(mismatched)} metric mismatches")
     return 1 if mismatched else 0
@@ -385,10 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    level = os.environ.get("SIMULSTREAM_LOG", "WARNING")
-    if not isinstance(logging.getLevelName(level.upper()), int):
-        raise CliError(f"SIMULSTREAM_LOG {level!r} is not a log level name")
-    logging.basicConfig(level=level.upper())
     args = build_parser().parse_args(argv)
     return args.func(args)
 

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .latency import INTS, NUMBER, STR, checked_field
+from .latency import INTS, NUMBER, STR, checked_fields
 
 DEFAULT_SEGMENT_MS = 280.0
 
@@ -54,34 +54,35 @@ class Utterance:
     def target_len(self) -> int:
         return len(self.target_tokens)
 
+    def to_dict(self) -> dict:
+        """A corpus line's object, its keys sorted; also the HELLO utterance."""
+        return {
+            "id": self.id,
+            "oracle_alignment": list(self.oracle_alignment),
+            "source": list(self.source_tokens),
+            "src_tok_ms": self.source_token_duration_ms,
+            "target": list(self.target_tokens),
+        }
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "Utterance":
+        """A to_dict dict read back; a missing, mistyped (_UTTERANCE_RULES)
+        or unknown field raises ValueError naming it."""
+        utt_id, source, target, ms, alignment = checked_fields(d, _UTTERANCE_RULES, "utterance")
+        return cls(utt_id, tuple(source), tuple(target), float(ms), tuple(alignment))
+
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "id": self.id,
-                "source": list(self.source_tokens),
-                "target": list(self.target_tokens),
-                "oracle_alignment": list(self.oracle_alignment),
-                "src_tok_ms": self.source_token_duration_ms,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(self.to_dict())
 
     @classmethod
     def from_json(cls, line: str) -> "Utterance":
-        """An utterance read back from to_json. Each field must have its
-        own type: id a string, source, target and oracle_alignment lists
-        of integers, src_tok_ms a finite number; a missing or mistyped
-        field raises ValueError naming it."""
-        d = json.loads(line)
-        if not isinstance(d, dict):
-            raise CorpusConfigError("utterance is not a JSON object")
-        return cls(
-            id=checked_field(d, "id", *STR),
-            source_tokens=tuple(checked_field(d, "source", *INTS)),
-            target_tokens=tuple(checked_field(d, "target", *INTS)),
-            source_token_duration_ms=float(checked_field(d, "src_tok_ms", *NUMBER)),
-            oracle_alignment=tuple(checked_field(d, "oracle_alignment", *INTS)),
-        )
+        """A to_json line read back by from_dict."""
+        return cls.from_dict(json.loads(line))
+
+
+_UTTERANCE_RULES = {  # each field's rule, in the order from_dict checks them
+    "id": STR, "source": INTS, "target": INTS, "src_tok_ms": NUMBER, "oracle_alignment": INTS
+}
 
 
 @dataclass(frozen=True)

@@ -170,16 +170,27 @@ def is_number(value) -> bool:
     return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
-def checked_field(d: dict, key: str, ok, want: str):
-    """d[key] if ok(d[key]); else a ValueError naming key."""
-    if key not in d:
-        raise ValueError(f"missing field {key!r}")
-    if not ok(d[key]):
-        raise ValueError(f"{key} {d[key]!r} is not {want}")
-    return d[key]
+def checked_fields(d, rules: dict, what: str) -> list:
+    """d's value for each key of rules, in that order, each checked by its
+    (ok, want) rule, which refuses None; a rule of None lets the key be
+    absent (value None) for the caller to check. A d that is not a dict, a
+    key missing or refused, or a key rules does not name raises ValueError."""
+    if type(d) is not dict:
+        raise ValueError(f"{what} is not an object")
+    values = []
+    for key, rule in rules.items():
+        value = d.get(key)
+        if rule is not None and not rule[0](value):
+            if key not in d:
+                raise ValueError(f"missing field {key!r}")
+            raise ValueError(f"{key} {value!r} is not {rule[1]}")
+        values.append(value)
+    if not d.keys() <= rules.keys():
+        raise ValueError(f"unknown field {next(key for key in d if key not in rules)!r}")
+    return values
 
 
-# (ok, want) rules for checked_field
+# (ok, want) rules for checked_fields, none of which takes None
 STR = (lambda v: type(v) is str, "a string")
 BOOL = (lambda v: type(v) is bool, "true or false")
 INT = (is_int, "an integer")
@@ -191,8 +202,7 @@ COLUMN_RULES = {key: {"id": STR, "n_tokens": INT}.get(key, NUMBER) for key in RE
 
 
 def metrics_from_dict(d: dict) -> tuple[str, LatencyReport, float]:
-    """(id, report, quality) read back from a metrics_to_dict dict, such
-    as a wire METRICS body; other keys are ignored. Each column must be
-    there, id a string, n_tokens an int and the rest finite numbers."""
-    utt_id, *values, quality = (checked_field(d, key, *rule) for key, rule in COLUMN_RULES.items())
+    """(id, report, quality) read back from a metrics_to_dict dict: id a
+    string, n_tokens an int, the rest finite numbers, and no other key."""
+    utt_id, *values, quality = checked_fields(d, COLUMN_RULES, "metrics")
     return utt_id, LatencyReport(*values), quality

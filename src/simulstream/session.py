@@ -52,7 +52,7 @@ from typing import Literal, Optional, Protocol, Sequence, Union, get_args, get_o
 from .actions import Action, InvalidTraceError, ReadWritePath, wait_k_trace
 from .corpus import Utterance, quality_score
 from .latency import DelayProfile, LatencyReport, build_report
-from .latency import INT, INTS, NUMBER, STR, checked_field
+from .latency import INT, INTS, NUMBER, STR, checked_fields
 
 GUESS_BASE = 1 << 20  # synthetic wrong guesses live far outside any vocab
 GUESS_SPACE = 1009
@@ -395,25 +395,16 @@ class SessionResult:
     @classmethod
     def from_json(cls, text: str) -> "SessionResult":
         """A to_json line read back, its per-token fields folded from its
-        events. A missing or mistyped field raises ValueError naming it
-        (for the events, see _events_from_json); an unknown field, or a
-        header that disagrees with the log, SessionError."""
-        d = json.loads(text)
-        if type(d) is not dict:
-            raise SessionError("a results line must be a JSON object")
-        unknown = sorted(set(d) - _STORED_KEYS)
-        if unknown:
-            raise SessionError(f"unknown field {unknown[0]!r}")
-        events = _events_from_json(checked_field(d, "events", lambda v: type(v) is list, "a list"))
+        events. A missing, mistyped or unknown field raises ValueError naming
+        it (for the events, see _events_from_json); a header that disagrees
+        with the log, SessionError."""
+        events, utt_id, src_len, tgt_len, duration_us, hypothesis, quality = checked_fields(
+            json.loads(text), _STORED_RULES, "results line"
+        )
+        events = _events_from_json(events)
         result = cls(
-            utterance_id=checked_field(d, "id", *STR),
-            source_len=checked_field(d, "src_len", *INT),
-            target_len=checked_field(d, "tgt_len", *INT),
-            source_duration_us=checked_field(d, "source_duration_us", *INT),
-            events=events,
-            hypothesis=tuple(checked_field(d, "hypothesis", *INTS)),
-            quality=checked_field(d, "quality", *NUMBER),
-            **fold_events(events),
+            utt_id, src_len, tgt_len, duration_us, events, tuple(hypothesis),
+            quality=quality, **fold_events(events),
         )
         reads = [e[0] for e in events if e[2] == "read"]  # read r's t_us is r segments
         writes = len(result.consumption)
@@ -428,7 +419,10 @@ class SessionResult:
         return result
 
 
-_STORED_KEYS = {"events", "hypothesis", "id", "quality", "source_duration_us", "src_len", "tgt_len"}
+_STORED_RULES = {  # each results-line field's rule, in the order from_json checks them
+    "events": (lambda v: type(v) is list, "a list"), "id": STR, "src_len": INT, "tgt_len": INT,
+    "source_duration_us": INT, "hypothesis": INTS, "quality": NUMBER,
+}
 
 
 class Session(ReadWritePath):

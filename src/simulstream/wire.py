@@ -13,20 +13,20 @@ corpus and the session config; the client is the deciding agent. Flow:
     either -> ERROR     (then the sender closes)
 
 `MESSAGES` gives each type's body: its fields in the order they are
-sent and the rule each obeys. Both ends check every message they read
-against it, and against the types they expect next (`_Channel.recv`),
-and stamp messages with per-direction sequence numbers, rejecting
-regressions. Both ends run the session engine (session.Session): the
-client runs its session once on HELLO and sends its event log's reads
-and writes; the server takes each message as one step of its engine, so
-SEGMENTs carry its arrival times and METRICS its result. The client
-does not wait for each SEGMENT: it writes its log's READ_REQs and
-WRITEs, then EOS_TGT, and reads the SEGMENTs in order. At most
-`READ_WINDOW` READ_REQs are unanswered; at that bound it flushes and
-reads the oldest SEGMENT first, so what the server owes fits in small
-socket buffers (4 KiB a side is tested) and the two ends never block
-writing to each other. `remaining` counts the utterances no client has
-claimed yet; at 0 a client stops without another connection, so it
+sent, the rule each obeys, and no other key. Both ends check every
+message they read against it and the types they expect next
+(`_Channel.recv`), and stamp messages with per-direction sequence
+numbers, rejecting regressions. Both ends run the session engine
+(session.Session): the client runs its session once on HELLO and sends
+its event log's reads and writes; the server takes each message as one
+step of its engine, so SEGMENTs carry its arrival times and METRICS its
+result. The client does not wait for each SEGMENT: it writes its log's
+READ_REQs and WRITEs, then EOS_TGT, and reads the SEGMENTs in order. At
+most `READ_WINDOW` READ_REQs are unanswered; at that bound it flushes
+and reads the oldest SEGMENT first, so what the server owes fits in
+small socket buffers (4 KiB a side is tested) and the two ends never
+block writing to each other. `remaining` counts the utterances no client
+has claimed yet; at 0 a client stops without another connection, so it
 never races a `serve --once` that has exited.
 
 A session fails when its client sends a message that `recv` refuses,
@@ -41,10 +41,11 @@ client's input until it closes too (at most `LINGER_S` and
 `LINGER_MAX_BYTES`), so a client still sending reads the ERROR line
 rather than a connection reset; its `recv` raises `ProtocolError("peer
 error: <reason>")`. A client raises `ProtocolError` for a message that
-`recv` refuses, a HELLO utterance that does not parse or whose segments
-the engine cannot time, config that `config_from_dict` rejects, a
-SEGMENT out of order and a METRICS that names another session. Sockets run with TCP_NODELAY, so no
-message waits for the peer's delayed ACK.
+`recv` refuses, a HELLO utterance that `Utterance.from_dict` refuses or
+whose segments the engine cannot time, config that `config_from_dict`
+rejects, a SEGMENT out of order and a METRICS that names another
+session. Sockets run with TCP_NODELAY, so no message waits for the
+peer's delayed ACK.
 """
 
 from __future__ import annotations
@@ -59,9 +60,8 @@ from typing import Optional
 
 from .corpus import Utterance
 from .actions import InvalidTraceError
-from .latency import (
-    BOOL, COLUMN_RULES, INT, NUMBER, REPORT_CSV_COLUMNS, STR, checked_field, is_int, metrics_to_dict
-)
+from .latency import BOOL, COLUMN_RULES, INT, NUMBER, REPORT_CSV_COLUMNS, STR, checked_fields
+from .latency import is_int, metrics_to_dict
 from .session import (
     Session,
     SessionConfig,
@@ -74,8 +74,8 @@ from .session import (
 )
 
 # Each message type's body: its fields in the order they are sent, and the
-# (ok, want) rule recv checks each against; other keys pass. A rule of None:
-# run_client_session reads the field itself, by Utterance.from_json and
+# (ok, want) rule recv checks each against; no other key passes. A rule of None:
+# run_client_session reads the field itself, by Utterance.from_dict and
 # config_from_dict; a server out of work sends HELLO {"done": true} alone.
 MESSAGES = {
     "HELLO": {"done": BOOL, "utterance": None, "config": None},
@@ -150,14 +150,10 @@ class _Channel:
             raise ProtocolError(f"sequence number regression: {seq} after {self._recv_seq}")
         self._recv_seq = seq
         body = record.get("body", {})
-        if not isinstance(body, dict):
-            raise ProtocolError("malformed message: body is not an object")
         if expected and msg_type not in expected and msg_type != "ERROR":
             raise ProtocolError(f"expected {' or '.join(expected)}, got {msg_type}")
         try:
-            for key, rule in MESSAGES[msg_type].items():
-                if rule:
-                    checked_field(body, key, *rule)
+            checked_fields(body, MESSAGES[msg_type], "body")
         except ValueError as exc:
             raise ProtocolError(f"bad {msg_type}: {exc}") from None
         if msg_type == "ERROR":
@@ -296,8 +292,8 @@ class EvalServer:
         if utt is None:
             chan.send("HELLO", {"done": True})
             return
-        utterance, config = json.loads(utt.to_json()), config_to_dict(self.config)
-        chan.send("HELLO", {"done": False, "utterance": utterance, "config": config})
+        config = config_to_dict(self.config)
+        chan.send("HELLO", {"done": False, "utterance": utt.to_dict(), "config": config})
         session = Session(utt, self.config)
         t0 = time.monotonic()
         while True:
@@ -380,7 +376,7 @@ def run_client_session(host: str, port: int) -> Optional[SessionExchange]:
         if hello["done"]:
             return None
         try:
-            utt = Utterance.from_json(json.dumps(hello.get("utterance")))
+            utt = Utterance.from_dict(hello.get("utterance"))
         except ValueError as exc:
             raise ProtocolError(f"bad HELLO utterance: {exc}") from None
         try:

@@ -37,15 +37,21 @@ MISSING = object()  # a body key left out
 def bad_fields(msg_type: str):
     """(case id, key, value, reason) for each body field that wire.MESSAGES
     checks in msg_type: left out (value MISSING), or set to a string, a
-    fractional float or true where its rule refuses that."""
+    fractional float or true where its rule refuses that; and a key it does
+    not name, added."""
     for key, (ok, want) in MESSAGES[msg_type].items():
         yield f"{key}-missing", key, MISSING, f"bad {msg_type}: missing field {key!r}"
         for value in ("1", 1.5, True):
             if not ok(value):
                 case = f"{key}-{type(value).__name__}"
                 yield case, key, value, f"bad {msg_type}: {key} {value!r} is not {want}"
+    yield "bogus", "bogus", 1, f"bad {msg_type}: unknown field 'bogus'"
 
 
 def with_field(body: dict, key: str, value) -> dict:
-    """body with key set to value, in its place; left out if value is MISSING."""
-    return {k: value if k == key else v for k, v in body.items() if k != key or value is not MISSING}
+    """body with key set to value, in its place or else last; left out if
+    value is MISSING."""
+    out = {**body, key: value}
+    if value is MISSING:
+        del out[key]
+    return out

@@ -148,6 +148,7 @@ _GOOD_LINE = {
         ({"src_tok_ms": True}, "src_tok_ms True is not a finite number"),
         ({"src_tok_ms": math.inf}, "src_tok_ms inf is not a finite number"),
         ({"src_tok_ms": None}, "src_tok_ms None is not a finite number"),
+        ({"bogus": 1}, "unknown field 'bogus'"),
     ],
 )
 def test_utterance_from_json_takes_each_field_with_its_own_type(change, message):

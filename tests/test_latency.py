@@ -201,7 +201,7 @@ def test_report_csv_columns_are_the_metrics_keys():
 
 
 _GOOD = {"id": "u", "al_ms": 1.0, "ca_al_ms": 2, "mean_delay_ms": 3.0, "discont_ms": 0.0,
-         "n_tokens": 4, "quality": 5.5, "remaining": 0}
+         "n_tokens": 4, "quality": 5.5}
 
 
 @pytest.mark.parametrize(
@@ -217,6 +217,8 @@ _GOOD = {"id": "u", "al_ms": 1.0, "ca_al_ms": 2, "mean_delay_ms": 3.0, "discont_
         ("n_tokens", 4.0, "n_tokens 4.0 is not an integer"),
         ("n_tokens", False, "n_tokens False is not an integer"),
         ("id", 7, "id 7 is not a string"),
+        # a METRICS body's own key is not a metrics column
+        ("remaining", 0, "unknown field 'remaining'"),
     ],
 )
 def test_metrics_from_dict_names_the_bad_key(key, value, message):
@@ -229,6 +231,6 @@ def test_metrics_from_dict_names_the_bad_key(key, value, message):
         metrics_from_dict(d)
 
 
-def test_metrics_from_dict_takes_ints_for_numbers_and_ignores_other_keys():
+def test_metrics_from_dict_takes_ints_for_numbers():
     utt_id, report, quality = metrics_from_dict(_GOOD)
     assert (utt_id, report, quality) == ("u", LatencyReport(1.0, 2, 3.0, 0.0, 4), 5.5)
