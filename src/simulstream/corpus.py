@@ -16,6 +16,7 @@ from typing import Iterable, Sequence
 from .latency import INTS, NUMBER, STR, checked_fields
 
 DEFAULT_SEGMENT_MS = 280.0
+_DRAW_MAX = (1 << 63) - 1  # numpy draws tokens and lengths as int64
 
 
 class CorpusConfigError(ValueError):
@@ -105,8 +106,12 @@ class SyntheticTaskSpec:
         lo, hi = self.length_range
         if lo > hi or lo < 1:
             raise CorpusConfigError(f"invalid length_range {self.length_range}")
+        if hi > _DRAW_MAX:
+            raise CorpusConfigError(f"lengths must be <= {_DRAW_MAX}")
         if self.vocab_size < 2:
             raise CorpusConfigError("vocab_size must be >= 2")
+        if self.vocab_size > _DRAW_MAX:
+            raise CorpusConfigError(f"vocab_size must be <= {_DRAW_MAX}")
         if self.alignment_kind not in ("identity", "shift", "random-monotone"):
             raise CorpusConfigError(f"unknown alignment_kind {self.alignment_kind!r}")
         if not 0.0 <= self.noise_rate <= 1.0:
@@ -141,6 +146,8 @@ def generate_corpus(spec: SyntheticTaskSpec, n: int, seed: int) -> list[Utteranc
 
     if n < 1:
         raise CorpusConfigError("n must be >= 1")
+    if seed < 0:
+        raise CorpusConfigError("seed must be >= 0")
     rng = np.random.default_rng(seed)
     lo, hi = spec.length_range
     out = []

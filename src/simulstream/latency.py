@@ -161,15 +161,6 @@ def metrics_to_dict(utt_id: str, report: LatencyReport, quality: float) -> dict:
     return dict(zip(REPORT_CSV_COLUMNS, (utt_id, *report, quality)))
 
 
-def is_int(value) -> bool:
-    return type(value) is int  # a bool is not
-
-
-def is_number(value) -> bool:
-    """An int or a float within float range: never a bool, NaN or inf."""
-    return type(value) in (int, float) and abs(value) <= sys.float_info.max
-
-
 def checked_fields(d, rules: dict, what: str) -> list:
     """d's value for each key of rules, in that order, each checked by its
     (ok, want) rule, which refuses None; a rule of None lets the key be
@@ -193,16 +184,11 @@ def checked_fields(d, rules: dict, what: str) -> list:
 # (ok, want) rules for checked_fields, none of which takes None
 STR = (lambda v: type(v) is str, "a string")
 BOOL = (lambda v: type(v) is bool, "true or false")
-INT = (is_int, "an integer")
-NUMBER = (is_number, "a finite number")
+INT = (lambda v: type(v) is int, "an integer")  # a bool is not
+# an int or a float within float range: never a bool, NaN or inf
+NUMBER = (lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max, "a finite number")
 # a stored token list: a JSON list of integers, none a bool
 INTS = (lambda v: type(v) is list and {*map(type, v)} <= {int}, "a list of integers")
 # each REPORT_CSV_COLUMNS key's rule, in that order
 COLUMN_RULES = {key: {"id": STR, "n_tokens": INT}.get(key, NUMBER) for key in REPORT_CSV_COLUMNS}
 
-
-def metrics_from_dict(d: dict) -> tuple[str, LatencyReport, float]:
-    """(id, report, quality) read back from a metrics_to_dict dict: id a
-    string, n_tokens an int, the rest finite numbers, and no other key."""
-    utt_id, *values, quality = checked_fields(d, COLUMN_RULES, "metrics")
-    return utt_id, LatencyReport(*values), quality

@@ -72,49 +72,39 @@ def _flag(default, flag: str, help: Optional[str] = None):
     return field(default=default, metadata={"flag": flag, "help": help})
 
 
-@functools.cache
-def _rules(cls) -> dict[str, tuple[object, tuple, bool]]:
-    """Per field of cls: (type, Literal values or (), nullable), where
-    Optional[X], the only union a setting has, gives X and nullable."""
-    rules = {}
-    for name, tp in get_type_hints(cls).items():
-        nullable = get_origin(tp) is Union
-        base = get_args(tp)[0] if nullable else tp
-        rules[name] = (base, get_args(base) if get_origin(base) is Literal else (), nullable)
-    return rules
+_hints = functools.cache(get_type_hints)
 
 
-def _checked(rule, value, where: str):
-    """value, if it obeys its field's rule; a ValueError naming where if not.
-
-    An int setting takes an int, a float setting a finite int or float
-    (never a bool), a Literal one of its values, an Optional also None;
-    a nested dataclass is built from a dict by _from_dict."""
-    tp, choices, nullable = rule
+def _rule(tp) -> tuple:
+    """tp's (ok, want) rule for checked_fields: an int setting takes an int,
+    a float setting a finite int or float (never a bool), a Literal one of
+    its values, a nested dataclass an instance of it; Optional[X], the only
+    union a setting has, X's rule or None."""
+    if get_origin(tp) is Union:
+        ok, want = _rule(get_args(tp)[0])
+        return (lambda v: v is None or ok(v)), f"{want} or null"
+    if get_origin(tp) is Literal:
+        choices = get_args(tp)
+        return (lambda v: v in choices), f"one of {list(choices)}"
     if is_dataclass(tp):
-        return _from_dict(tp, value, where)
-    if value is None and nullable:
-        return value
-    if choices:
-        ok, want = value in choices, f"one of {list(choices)}"
-    else:  # int or float, the only other types a setting has
-        test, want = INT if tp is int else NUMBER
-        ok = test(value)
-    if not ok:
-        raise ValueError(f"{value!r} is not {want} at {where}")
-    return value
+        return (lambda v: type(v) is tp), f"a {tp.__name__}"
+    return INT if tp is int else NUMBER  # int or float, the only other types a setting has
+
+
+@functools.cache
+def _rules(cls) -> dict[str, tuple]:
+    return {name: _rule(tp) for name, tp in _hints(cls).items()}
 
 
 def _check_fields(obj) -> None:
-    for name, rule in _rules(type(obj)).items():
-        if not is_dataclass(rule[0]):
-            value = _checked(rule, getattr(obj, name), f"{type(obj).__name__}.{name}")
-            # the engine counts whole us (see _us): a nonzero time must not silently
-            # become 0, nor be too large for a float to hold as a count of us
-            if name.endswith("_ms") and value and 0 < value * 1000 <= 0.5:  # rounds to 0 us
-                raise ValueError(f"{name} {value!r} rounds to 0 us")
-            if name.endswith("_ms") and value and not math.isfinite(value * 1000):
-                raise ValueError(f"{name} {value!r} is too large to count in us")
+    rules = _rules(type(obj))
+    for name, value in zip(rules, checked_fields(vars(obj), rules, type(obj).__name__)):
+        # the engine counts whole us (see _us): a nonzero time must not silently
+        # become 0, nor be too large for a float to hold as a count of us
+        if name.endswith("_ms") and value and 0 < value * 1000 <= 0.5:  # rounds to 0 us
+            raise ValueError(f"{name} {value!r} rounds to 0 us")
+        if name.endswith("_ms") and value and not math.isfinite(value * 1000):
+            raise ValueError(f"{name} {value!r} is too large to count in us")
 
 
 @dataclass(frozen=True)
@@ -158,7 +148,9 @@ class PolicySpec:
 class SessionConfig:
     """A run's settings. These fields and those of PolicySpec and
     ComputeModel state each setting's type, default, allowed values and
-    flag; config_from_dict, config_fields and the CLI read them here."""
+    flag; each constructor checks its fields against the checked_fields
+    rules _rule makes of the types, and config_from_dict, config_fields
+    and the CLI read them here."""
 
     policy: PolicySpec = field(default_factory=PolicySpec)
     pre_decision_ms: Optional[float] = _flag(None, "--pre-decision-ms")  # None: the utterance's own
@@ -184,11 +176,12 @@ def config_fields(cls=SessionConfig, prefix: str = ""):
     leaf setting of cls, in declaration order; nested dataclasses are
     flattened and Optional[X] gives X."""
     for f in fields(cls):
-        tp, choices, _ = _rules(cls)[f.name]
+        tp = _hints(cls)[f.name]
         if is_dataclass(tp):
             yield from config_fields(tp, f"{prefix}{f.name}.")
         else:
-            yield prefix + f.name, f, tp, choices
+            tp = get_args(tp)[0] if get_origin(tp) is Union else tp
+            yield prefix + f.name, f, tp, get_args(tp)  # () for int and float
 
 
 def config_to_dict(config: SessionConfig) -> dict:
@@ -198,20 +191,22 @@ def config_to_dict(config: SessionConfig) -> dict:
 def config_from_dict(d: dict) -> SessionConfig:
     """Build a SessionConfig from plain data, such as a parsed JSON file.
 
-    A missing key takes the field's default. An unknown key or a value of
-    the wrong type (see _checked) raises ValueError naming its location,
-    as in $['policy']['kind']; a value out of range, its object's."""
+    A missing key takes the field's default. An unknown key, a value of
+    the wrong type (see _rule) or out of range raises ValueError naming
+    its object's location, as in $['policy']."""
     return _from_dict(SessionConfig, d, "$")
 
 
 def _from_dict(cls, d, where: str):
+    """cls built from d, its nested objects first; the constructor checks each value."""
     if not isinstance(d, dict):
         raise ValueError(f"{d!r} is not an object at {where}")
-    rules = _rules(cls)  # one per field
-    for key in d:
-        if key not in rules:
-            raise ValueError(f"unknown key {key!r} at {where}")
-    kwargs = {key: _checked(rules[key], value, f"{where}[{key!r}]") for key, value in d.items()}
+    hints, kwargs = _hints(cls), dict(d)
+    for key, value in d.items():
+        if key not in hints:
+            raise ValueError(f"unknown field {key!r} at {where}")
+        if is_dataclass(hints[key]):
+            kwargs[key] = _from_dict(hints[key], value, f"{where}[{key!r}]")
     try:
         return cls(**kwargs)
     except ValueError as exc:

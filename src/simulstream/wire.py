@@ -12,22 +12,24 @@ corpus and the session config; the client is the deciding agent. Flow:
     server -> METRICS
     either -> ERROR     (then the sender closes)
 
-`MESSAGES` gives each type's body: its fields in the order they are
-sent, the rule each obeys, and no other key. Both ends check every
-message they read against it and the types they expect next
-(`_Channel.recv`), and stamp messages with per-direction sequence
-numbers, rejecting regressions. Both ends run the session engine
-(session.Session): the client runs its session once on HELLO and sends
-its event log's reads and writes; the server takes each message as one
-step of its engine, so SEGMENTs carry its arrival times and METRICS its
-result. The client does not wait for each SEGMENT: it writes its log's
-READ_REQs and WRITEs, then EOS_TGT, and reads the SEGMENTs in order. At
-most `READ_WINDOW` READ_REQs are unanswered; at that bound it flushes
-and reads the oldest SEGMENT first, so what the server owes fits in
-small socket buffers (4 KiB a side is tested) and the two ends never
-block writing to each other. `remaining` counts the utterances no client
-has claimed yet; at 0 a client stops without another connection, so it
-never races a `serve --once` that has exited.
+`ENVELOPE` gives every message's keys (a known `type`, a string
+`session_id`, an integer `seq_no` and a `body`) and `MESSAGES` each
+type's body: its fields in the order they are sent, the rule each obeys,
+and no other key. Both ends check every message they read against both
+tables and the types they expect next (`_Channel.recv`), and stamp
+messages with per-direction sequence numbers, rejecting regressions.
+Both ends run the session engine (session.Session): the client runs its
+session once on HELLO and sends its event log's reads and writes; the
+server takes each message as one step of its engine, so SEGMENTs carry
+its arrival times and METRICS its result. The client does not wait for
+each SEGMENT: it writes its log's READ_REQs and WRITEs, then EOS_TGT,
+and reads the SEGMENTs in order. At most `READ_WINDOW` READ_REQs are
+unanswered; at that bound it flushes and reads the oldest SEGMENT first,
+so what the server owes fits in small socket buffers (4 KiB a side is
+tested) and the two ends never block writing to each other. `remaining`
+counts the utterances no client has claimed yet; at 0 a client stops
+without another connection, so it never races a `serve --once` that has
+exited.
 
 A session fails when its client sends a message that `recv` refuses,
 a WRITE whose token_index or src_consumed is not the server's count,
@@ -61,7 +63,7 @@ from typing import Optional
 from .corpus import Utterance
 from .actions import InvalidTraceError
 from .latency import BOOL, COLUMN_RULES, INT, NUMBER, REPORT_CSV_COLUMNS, STR, checked_fields
-from .latency import is_int, metrics_to_dict
+from .latency import metrics_to_dict
 from .session import (
     Session,
     SessionConfig,
@@ -85,6 +87,14 @@ MESSAGES = {
     "EOS_TGT": {},
     "METRICS": {**COLUMN_RULES, "remaining": INT},
     "ERROR": {"reason": STR},
+}
+# Every message's envelope, by the same rules; no other key passes. The body
+# is checked against its type's MESSAGES entry once the type is known.
+ENVELOPE = {
+    "type": (lambda v: type(v) is str and v in MESSAGES, "a message type"),  # a list is unhashable
+    "session_id": STR,
+    "seq_no": INT,
+    "body": None,
 }
 READ_TIMEOUT_S = 30.0  # server side: longest wait for a client's next message
 READ_WINDOW = 32  # client side: most READ_REQs sent whose SEGMENT is not read yet
@@ -135,21 +145,12 @@ class _Channel:
         if len(line) > MAX_FRAME_BYTES and not line.endswith(b"\n"):
             raise ProtocolError("frame too long")
         try:
-            record = json.loads(line)
-        except ValueError as exc:  # also invalid UTF-8
-            raise ProtocolError(f"malformed message: {exc}") from exc
-        if not isinstance(record, dict):
-            raise ProtocolError("malformed message: not an object")
-        msg_type = record.get("type")
-        if type(msg_type) is not str or msg_type not in MESSAGES:  # [] cannot be looked up
-            raise ProtocolError(f"unknown message type {msg_type!r}")
-        seq = record.get("seq_no")
-        if not is_int(seq):
-            raise ProtocolError(f"sequence number {seq!r} is not an integer")
+            msg_type, _, seq, body = checked_fields(json.loads(line), ENVELOPE, "message")
+        except ValueError as exc:  # not JSON (or not UTF-8), or refused by ENVELOPE
+            raise ProtocolError(f"malformed message: {exc}") from None
         if seq <= self._recv_seq:
             raise ProtocolError(f"sequence number regression: {seq} after {self._recv_seq}")
         self._recv_seq = seq
-        body = record.get("body", {})
         if expected and msg_type not in expected and msg_type != "ERROR":
             raise ProtocolError(f"expected {' or '.join(expected)}, got {msg_type}")
         try:

@@ -64,10 +64,25 @@ def test_vmma_outputs_do_not_depend_on_the_hash_seed(tmp_path):
     assert all(outputs[0].values()) and outputs[0] == outputs[1]
 
 
-def test_gen_corpus_rejects_bad_lengths(tmp_path):
+_HUGE = "99999999999999999999"  # past int64, so numpy cannot draw it
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--min-len", "9", "--max-len", "3"], "invalid length_range (9, 3)"),
+        (["--seed", "-1"], "seed must be >= 0"),
+        (["--vocab-size", _HUGE], "vocab_size must be <= 9223372036854775807"),
+        (["--max-len", _HUGE], "lengths must be <= 9223372036854775807"),
+    ],
+    ids=["min-above-max", "negative-seed", "huge-vocab-size", "huge-max-len"],
+)
+def test_gen_corpus_rejects_bad_lengths(tmp_path, capsys, flags, message):
     with pytest.raises(SystemExit) as exc:
-        main(["gen-corpus", "--out", str(tmp_path / "x.jsonl"), "--min-len", "9", "--max-len", "3"])
+        main(["gen-corpus", "--out", str(tmp_path / "x.jsonl"), *flags])
     assert exc.value.code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "x.jsonl").exists()
 
 
 def test_simulate_writes_results_and_csv(tmp_path, capsys):
@@ -311,7 +326,9 @@ def test_config_file_errors_are_actionable(tmp_path, capsys):
     bad_value.write_text(json.dumps({"policy": {"kind": "psychic"}}))
     with pytest.raises(SystemExit):
         main(["simulate", "--corpus", str(corpus), "--config", str(bad_value)])
-    assert "$['policy']['kind']" in capsys.readouterr().err
+    assert "kind 'psychic' is not one of ['waitk', 'offline', 'vmma'] at $['policy']" in (
+        capsys.readouterr().err
+    )
 
     unknown_key = tmp_path / "extra.json"
     unknown_key.write_text(json.dumps({"bogus": 1}))
@@ -325,7 +342,7 @@ def test_config_file_errors_are_actionable(tmp_path, capsys):
         main(["simulate", "--corpus", str(corpus), "--config", str(compute_kind)])
     assert exc.value.code == 2
     err = _one_error_line(capsys)
-    assert err == f"error: config {compute_kind}: unknown key 'kind' at $['compute']\n"
+    assert err == f"error: config {compute_kind}: unknown field 'kind' at $['compute']\n"
 
 
 def test_empty_and_missing_corpus_fail_cleanly(tmp_path, capsys):
@@ -723,8 +740,8 @@ def test_connect_errors_are_one_line(tmp_path, capsys):
         ),
         "bad-hello": (
             _fake_server(lambda chan: chan.send("HELLO", bad_hello)),
-            "bad HELLO config: 'psychic' is not one of ['waitk', 'offline', 'vmma']"
-            " at $['policy']['kind']",
+            "bad HELLO config: kind 'psychic' is not one of ['waitk', 'offline', 'vmma']"
+            " at $['policy']",
         ),
         "hello-too-large-ms": (
             _fake_server(lambda chan: chan.send("HELLO", too_large)),
@@ -732,7 +749,7 @@ def test_connect_errors_are_one_line(tmp_path, capsys):
         ),
         "hello-compute-kind": (
             _fake_server(lambda chan: chan.send("HELLO", dict(bad_hello, config=compute_kind))),
-            "bad HELLO config: unknown key 'kind' at $['compute']",
+            "bad HELLO config: unknown field 'kind' at $['compute']",
         ),
         "bad-hello-utterance": (
             _fake_server(lambda chan: chan.send("HELLO", dict(hello, utterance={"id": "u"}))),

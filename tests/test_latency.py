@@ -16,7 +16,6 @@ from simulstream.latency import (
     corpus_mean,
     expected_delays,
     latency_loss,
-    metrics_from_dict,
     metrics_to_dict,
     report_csv_header,
     report_csv_row,
@@ -152,7 +151,6 @@ def test_report_round_trip_and_csv():
     assert report.al_ms == pytest.approx(1000.0)
     assert report.mean_delay_ms == pytest.approx(2000.0)
     assert report.n_tokens == 3
-    assert metrics_from_dict(metrics_to_dict("utt-1", report, 55.5)) == ("utt-1", report, 55.5)
     row = report_csv_row("utt-1", report, 55.5)
     header = report_csv_header()
     assert header.split(",")[0] == "id"
@@ -198,39 +196,3 @@ def test_report_csv_columns_are_the_metrics_keys():
     report = LatencyReport(1.0, 2.0, 3.0, 0.0, 4)
     assert list(metrics_to_dict("u", report, 5.0)) == list(REPORT_CSV_COLUMNS)
     assert report_csv_header() == ",".join(REPORT_CSV_COLUMNS)
-
-
-_GOOD = {"id": "u", "al_ms": 1.0, "ca_al_ms": 2, "mean_delay_ms": 3.0, "discont_ms": 0.0,
-         "n_tokens": 4, "quality": 5.5}
-
-
-@pytest.mark.parametrize(
-    "key, value, message",
-    [
-        ("discont_ms", None, "missing field 'discont_ms'"),
-        ("id", None, "missing field 'id'"),
-        ("discont_ms", "0", "discont_ms '0' is not a finite number"),
-        ("al_ms", True, "al_ms True is not a finite number"),
-        ("ca_al_ms", math.nan, "ca_al_ms nan is not a finite number"),
-        ("quality", -math.inf, "quality -inf is not a finite number"),
-        ("mean_delay_ms", 10**400, "mean_delay_ms 1000"),
-        ("n_tokens", 4.0, "n_tokens 4.0 is not an integer"),
-        ("n_tokens", False, "n_tokens False is not an integer"),
-        ("id", 7, "id 7 is not a string"),
-        # a METRICS body's own key is not a metrics column
-        ("remaining", 0, "unknown field 'remaining'"),
-    ],
-)
-def test_metrics_from_dict_names_the_bad_key(key, value, message):
-    d = dict(_GOOD)
-    if value is None:
-        del d[key]
-    else:
-        d[key] = value
-    with pytest.raises(ValueError, match=message):
-        metrics_from_dict(d)
-
-
-def test_metrics_from_dict_takes_ints_for_numbers():
-    utt_id, report, quality = metrics_from_dict(_GOOD)
-    assert (utt_id, report, quality) == ("u", LatencyReport(1.0, 2, 3.0, 0.0, 4), 5.5)

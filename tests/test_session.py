@@ -369,3 +369,11 @@ def test_config_validation():
         ComputeModel(per_unit_ms=-1.0)
     with pytest.raises(ValueError):
         ComputeModel(per_decision_ms=-1.0)
+
+
+def test_config_refuses_a_dict_for_a_nested_setting():
+    # config_from_dict builds the nested objects; the constructor takes only them
+    with pytest.raises(ValueError, match=r"^policy \{'kind': 'psychic'\} is not a PolicySpec$"):
+        SessionConfig(policy={"kind": "psychic"})
+    with pytest.raises(ValueError, match=r"^compute \{'per_unit_ms': 1.0\} is not a ComputeModel$"):
+        SessionConfig(compute={"per_unit_ms": 1.0})

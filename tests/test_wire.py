@@ -570,8 +570,11 @@ _BAD_WRITES = list(bad_fields("WRITE"))
         (_silent, "timed out after 0.2 s"),
         (_oversized, "frame too long"),
         # a bool is not an integer, so true is not sequence number 1
-        (_frame(seq_no=True), "sequence number True is not an integer"),
-        (_frame(seq_no=None), "sequence number None is not an integer"),
+        (_frame(seq_no=True), "malformed message: seq_no True is not an integer"),
+        (_frame(seq_no=None), "malformed message: missing field 'seq_no'"),
+        (_frame(extra=1), "malformed message: unknown field 'extra'"),
+        (_frame(session_id=5), "malformed message: session_id 5 is not a string"),
+        (_frame(body=None), "bad READ_REQ: body is not an object"),
         (
             _writes(lambda target: [str(target[0]), *(t + 0.5 for t in target[1:])]),
             "bad WRITE: token '",
@@ -587,13 +590,14 @@ _BAD_WRITES = list(bad_fields("WRITE"))
             (_sends(t), f"expected READ_REQ or WRITE or EOS_TGT, got {t}")
             for t in ("HELLO", "SEGMENT", "METRICS")
         ),
-        (_frame(type="NONSENSE"), "unknown message type 'NONSENSE'"),
-        (_frame(type=[]), "unknown message type []"),  # unhashable: no dict lookup
+        (_frame(type="NONSENSE"), "malformed message: type 'NONSENSE' is not a message type"),
+        (_frame(type=[]), "malformed message: type [] is not a message type"),  # unhashable
         *((_bad_write(key, value), reason) for _, key, value, reason in _BAD_WRITES),
     ],
     ids=[
         "invalid-schedule", "non-dict-body", "silent", "oversized", "bool-seq-no",
-        "missing-seq-no", "string-token", "fractional-token", "skipped-index", "wrong-src-consumed",
+        "missing-seq-no", "unknown-envelope-key", "int-session-id", "missing-body",
+        "string-token", "fractional-token", "skipped-index", "wrong-src-consumed",
         "write-before-read", "write-past-target", "read-past-source", "sends-hello",
         "sends-segment", "sends-metrics", "unknown-type", "list-type",
         *(f"write-{case}" for case, *_ in _BAD_WRITES),
