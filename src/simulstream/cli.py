@@ -284,7 +284,7 @@ def cmd_serve(args) -> int:
     try:
         if threading.current_thread() is threading.main_thread():  # elsewhere signal.signal raises
             signal.signal(signal.SIGTERM, signal.default_int_handler)
-        print("serving %d utterances on %s:%d" % (len(corpus), *server.address))
+        print("serving %d utterances on %s:%d" % (len(corpus), *server.address), flush=True)
         done.wait()
     except KeyboardInterrupt:
         pass

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .latency import INTS, NUMBER, STR, checked_fields
+from .latency import INTS, NUMBER, STR, TIME_MS, checked_fields
 
 DEFAULT_SEGMENT_MS = 280.0
 _DRAW_MAX = (1 << 63) - 1  # numpy draws tokens and lengths as int64
@@ -44,8 +44,9 @@ class Utterance:
                     f"oracle_alignment must be non-decreasing and <= {M}, got {self.oracle_alignment}"
                 )
             prev = a
-        if not 0 < self.source_token_duration_ms < math.inf:
-            raise CorpusConfigError("source_token_duration_ms must be positive and finite")
+        ms = self.source_token_duration_ms
+        if not TIME_MS[0](ms):  # a session counts it in whole us
+            raise CorpusConfigError(f"src_tok_ms {ms!r} is not {TIME_MS[1]}")
 
     @property
     def source_len(self) -> int:
@@ -116,6 +117,8 @@ class SyntheticTaskSpec:
             raise CorpusConfigError(f"unknown alignment_kind {self.alignment_kind!r}")
         if not 0.0 <= self.noise_rate <= 1.0:
             raise CorpusConfigError("noise_rate must be in [0,1]")
+        if not TIME_MS[0](self.segment_ms):
+            raise CorpusConfigError(f"segment_ms {self.segment_ms!r} is not {TIME_MS[1]}")
 
 
 def _alignment_for(spec: SyntheticTaskSpec, M: int, N: int, rng: np.random.Generator) -> list[int]:
@@ -177,18 +180,23 @@ def write_corpus(utterances: Iterable[Utterance], path) -> None:
 
 
 def read_corpus(path) -> list[Utterance]:
-    """Utterances of a JSON-lines file; a malformed line raises
-    CorpusConfigError("line N: ..."), N counted from 1."""
-    out = []
+    """Utterances of a JSON-lines file; a malformed line, or one whose id
+    an earlier line has, raises CorpusConfigError("line N: ..."), N counted
+    from 1."""
+    out, ids = [], set()
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):
             line = line.strip()
             if not line:
                 continue
             try:
-                out.append(Utterance.from_json(line))
+                utt = Utterance.from_json(line)
             except (TypeError, ValueError) as exc:  # also a line that is not JSON
                 raise CorpusConfigError(f"line {lineno}: {exc}") from None
+            if utt.id in ids:  # eval --corpus would score it against the other's reference
+                raise CorpusConfigError(f"line {lineno}: duplicate id {utt.id!r}")
+            ids.add(utt.id)
+            out.append(utt)
     return out
 
 

@@ -187,6 +187,12 @@ BOOL = (lambda v: type(v) is bool, "true or false")
 INT = (lambda v: type(v) is int, "an integer")  # a bool is not
 # an int or a float within float range: never a bool, NaN or inf
 NUMBER = (lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max, "a finite number")
+# a time in ms that the engine can count in whole us (round(ms * 1000)):
+# at least 1 us, and a count that a float holds
+TIME_MS = (
+    lambda v: NUMBER[0](v) and 0.5 < v * 1e3 < math.inf,
+    f"a finite number of ms over 0.0005 and at most {sys.float_info.max / 1e3!r}",
+)
 # a stored token list: a JSON list of integers, none a bool
 INTS = (lambda v: type(v) is list and {*map(type, v)} <= {int}, "a list of integers")
 # each REPORT_CSV_COLUMNS key's rule, in that order

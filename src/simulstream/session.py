@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 import sys
 import zlib
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
@@ -52,7 +51,7 @@ from typing import Literal, Optional, Protocol, Sequence, Union, get_args, get_o
 from .actions import Action, InvalidTraceError, ReadWritePath, wait_k_trace
 from .corpus import Utterance, quality_score
 from .latency import DelayProfile, LatencyReport, build_report
-from .latency import INT, INTS, NUMBER, STR, checked_fields
+from .latency import INT, INTS, NUMBER, STR, TIME_MS, checked_fields
 
 GUESS_BASE = 1 << 20  # synthetic wrong guesses live far outside any vocab
 GUESS_SPACE = 1009
@@ -67,22 +66,33 @@ PolicyKind = Literal["waitk", "offline", "vmma"]
 ScorerKind = Literal["oracle", "constant"]
 
 
-def _flag(default, flag: str, help: Optional[str] = None):
-    """A setting: its default and the command-line flag that sets it."""
-    return field(default=default, metadata={"flag": flag, "help": help})
+def _flag(default, flag: str, help: Optional[str] = None, rule: Optional[tuple] = None):
+    """A setting: its default, the command-line flag that sets it and, where
+    its type alone does not say what it takes, its checked_fields rule."""
+    return field(default=default, metadata={"flag": flag, "help": help, "rule": rule})
 
+
+# the (ok, want) rules of the settings whose type alone does not say what they take
+AT_LEAST_1 = (lambda v: type(v) is int and v >= 1, "an integer of at least 1")
+POSITIVE = (lambda v: NUMBER[0](v) and v > 0, "a finite number above 0")
+SHARE = (lambda v: NUMBER[0](v) and 0 < v < 1, "a number strictly inside (0, 1)")
+# NUMBER first, as False == 0
+COST_MS = (lambda v: (NUMBER[0](v) and v == 0) or TIME_MS[0](v), f"{TIME_MS[1]}, or 0")
 
 _hints = functools.cache(get_type_hints)
 
 
-def _rule(tp) -> tuple:
-    """tp's (ok, want) rule for checked_fields: an int setting takes an int,
-    a float setting a finite int or float (never a bool), a Literal one of
-    its values, a nested dataclass an instance of it; Optional[X], the only
-    union a setting has, X's rule or None."""
+def _rule(tp, rule: Optional[tuple] = None) -> tuple:
+    """The (ok, want) rule for checked_fields of a setting of type tp: rule
+    if given, else an int setting takes an int, a float setting a finite int
+    or float (never a bool), a Literal one of its values, a nested dataclass
+    an instance of it; Optional[X], the only union a setting has, X's rule
+    or None."""
     if get_origin(tp) is Union:
-        ok, want = _rule(get_args(tp)[0])
+        ok, want = _rule(get_args(tp)[0], rule)
         return (lambda v: v is None or ok(v)), f"{want} or null"
+    if rule is not None:
+        return rule
     if get_origin(tp) is Literal:
         choices = get_args(tp)
         return (lambda v: v in choices), f"one of {list(choices)}"
@@ -93,48 +103,31 @@ def _rule(tp) -> tuple:
 
 @functools.cache
 def _rules(cls) -> dict[str, tuple]:
-    return {name: _rule(tp) for name, tp in _hints(cls).items()}
+    return {f.name: _rule(_hints(cls)[f.name], f.metadata.get("rule")) for f in fields(cls)}
 
 
 def _check_fields(obj) -> None:
-    rules = _rules(type(obj))
-    for name, value in zip(rules, checked_fields(vars(obj), rules, type(obj).__name__)):
-        # the engine counts whole us (see _us): a nonzero time must not silently
-        # become 0, nor be too large for a float to hold as a count of us
-        if name.endswith("_ms") and value and 0 < value * 1000 <= 0.5:  # rounds to 0 us
-            raise ValueError(f"{name} {value!r} rounds to 0 us")
-        if name.endswith("_ms") and value and not math.isfinite(value * 1000):
-            raise ValueError(f"{name} {value!r} is too large to count in us")
+    checked_fields(vars(obj), _rules(type(obj)), type(obj).__name__)
 
 
 @dataclass(frozen=True)
 class ComputeModel:
-    per_decision_ms: float = _flag(0.0, "--per-decision-ms")
-    per_unit_ms: float = _flag(0.0, "--per-unit-ms")
+    per_decision_ms: float = _flag(0.0, "--per-decision-ms", rule=COST_MS)
+    per_unit_ms: float = _flag(0.0, "--per-unit-ms", rule=COST_MS)
 
-    def __post_init__(self):
-        _check_fields(self)
-        if self.per_decision_ms < 0 or self.per_unit_ms < 0:
-            raise ValueError("compute costs must be non-negative")
+    __post_init__ = _check_fields
 
 
 @dataclass(frozen=True)
 class PolicySpec:
     kind: PolicyKind = _flag("waitk", "--policy")
-    k: int = _flag(1, "--k", "wait-k head start")
-    lam: float = _flag(0.5, "--lam", "change-rate parameter")
+    k: int = _flag(1, "--k", "wait-k head start", AT_LEAST_1)
+    lam: float = _flag(0.5, "--lam", "change-rate parameter", POSITIVE)
     scorer: ScorerKind = _flag("oracle", "--scorer")
-    scorer_value: float = _flag(0.5, "--scorer-value")
+    scorer_value: float = _flag(0.5, "--scorer-value", rule=SHARE)
     seed: int = _flag(0, "--policy-seed")
 
-    def __post_init__(self):
-        _check_fields(self)
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if self.lam <= 0:
-            raise ValueError("lam must be positive")
-        if not 0 < self.scorer_value < 1:
-            raise ValueError("scorer_value must be strictly inside (0, 1)")
+    __post_init__ = _check_fields
 
     def label(self) -> str:
         if self.kind == "waitk":
@@ -148,27 +141,19 @@ class PolicySpec:
 class SessionConfig:
     """A run's settings. These fields and those of PolicySpec and
     ComputeModel state each setting's type, default, allowed values and
-    flag; each constructor checks its fields against the checked_fields
-    rules _rule makes of the types, and config_from_dict, config_fields
-    and the CLI read them here."""
+    flag; each constructor checks its fields against their checked_fields
+    rules (see _rule), and config_from_dict, config_fields and the CLI read
+    them here."""
 
     policy: PolicySpec = field(default_factory=PolicySpec)
-    pre_decision_ms: Optional[float] = _flag(None, "--pre-decision-ms")  # None: the utterance's own
-    emission_rate_l: int = _flag(1, "--emission-rate")
-    unit_ms: float = _flag(20.0, "--unit-ms")
-    units_per_token: int = _flag(5, "--units-per-token")
+    # None: the utterance's own
+    pre_decision_ms: Optional[float] = _flag(None, "--pre-decision-ms", rule=TIME_MS)
+    emission_rate_l: int = _flag(1, "--emission-rate", rule=AT_LEAST_1)
+    unit_ms: float = _flag(20.0, "--unit-ms", rule=TIME_MS)
+    units_per_token: int = _flag(5, "--units-per-token", rule=AT_LEAST_1)
     compute: ComputeModel = field(default_factory=ComputeModel)
 
-    def __post_init__(self):
-        _check_fields(self)
-        if self.emission_rate_l < 1:
-            raise ValueError("emission_rate_l must be >= 1")
-        if self.units_per_token < 1:
-            raise ValueError("units_per_token must be >= 1")
-        if self.unit_ms <= 0:
-            raise ValueError("unit_ms must be positive")
-        if self.pre_decision_ms is not None and self.pre_decision_ms <= 0:
-            raise ValueError("pre_decision_ms must be positive")
+    __post_init__ = _check_fields
 
 
 def config_fields(cls=SessionConfig, prefix: str = ""):
@@ -191,9 +176,9 @@ def config_to_dict(config: SessionConfig) -> dict:
 def config_from_dict(d: dict) -> SessionConfig:
     """Build a SessionConfig from plain data, such as a parsed JSON file.
 
-    A missing key takes the field's default. An unknown key, a value of
-    the wrong type (see _rule) or out of range raises ValueError naming
-    its object's location, as in $['policy']."""
+    A missing key takes the field's default. An unknown key or a value
+    its rule refuses (see _rule) raises ValueError naming its object's
+    location, as in $['policy']."""
     return _from_dict(SessionConfig, d, "$")
 
 
@@ -427,12 +412,8 @@ class Session(ReadWritePath):
 
     def __init__(self, utterance: Utterance, config: SessionConfig):
         ReadWritePath.__init__(self, utterance.source_len, utterance.target_len)
-        seg_ms = config.pre_decision_ms or utterance.source_token_duration_ms
-        if not math.isfinite(seg_ms * 1000):  # a corpus's own duration; the config's is checked
-            raise SessionError(f"source segment of {seg_ms} ms is too large to count in us")
-        self.seg_us = _us(seg_ms)
-        if self.seg_us < 1:  # no source time would pass, and report() rejects a zero duration
-            raise SessionError(f"source segment of {seg_ms} ms rounds to 0 us")
+        # both TIME_MS, so the count is at least 1 us: source time passes
+        self.seg_us = _us(config.pre_decision_ms or utterance.source_token_duration_ms)
         compute = config.compute
         self.dec_us, self.per_unit_us = _us(compute.per_decision_ms), _us(compute.per_unit_ms)
         self.unit_us = _us(config.unit_ms)

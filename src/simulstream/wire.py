@@ -43,11 +43,10 @@ client's input until it closes too (at most `LINGER_S` and
 `LINGER_MAX_BYTES`), so a client still sending reads the ERROR line
 rather than a connection reset; its `recv` raises `ProtocolError("peer
 error: <reason>")`. A client raises `ProtocolError` for a message that
-`recv` refuses, a HELLO utterance that `Utterance.from_dict` refuses or
-whose segments the engine cannot time, config that `config_from_dict`
-rejects, a SEGMENT out of order and a METRICS that names another
-session. Sockets run with TCP_NODELAY, so no message waits for the
-peer's delayed ACK.
+`recv` refuses, a HELLO utterance that `Utterance.from_dict` refuses,
+config that `config_from_dict` rejects, a SEGMENT out of order and a
+METRICS that names another session. Sockets run with TCP_NODELAY, so no
+message waits for the peer's delayed ACK.
 """
 
 from __future__ import annotations
@@ -67,7 +66,6 @@ from .latency import metrics_to_dict
 from .session import (
     Session,
     SessionConfig,
-    SessionError,
     SessionResult,
     config_from_dict,
     config_to_dict,
@@ -101,6 +99,7 @@ READ_WINDOW = 32  # client side: most READ_REQs sent whose SEGMENT is not read y
 MAX_FRAME_BYTES = 1 << 20  # longest accepted line, newline excluded
 LINGER_S = 2.0  # after ERROR: longest wait for the client to stop sending
 LINGER_MAX_BYTES = 64 * MAX_FRAME_BYTES  # after ERROR: most input discarded
+ACCEPT_RETRY_S = 0.02  # after accept() fails: the wait before the next try
 
 
 class ProtocolError(RuntimeError):
@@ -223,7 +222,9 @@ class EvalServer:
         while not self._closed:
             try:
                 conn = self._listener.accept()[0]
-            except OSError:  # the listener closed, or a client gone before accept
+            except OSError:  # the listener closed, a client gone before accept, no fd free
+                if not self._closed:  # an error that persists must not spin
+                    time.sleep(ACCEPT_RETRY_S)
                 continue
             with self._lock:
                 self._waiting.discard(threading.current_thread())
@@ -384,10 +385,7 @@ def run_client_session(host: str, port: int) -> Optional[SessionExchange]:
             config = config_from_dict(hello.get("config"))
         except ValueError as exc:
             raise ProtocolError(f"bad HELLO config: {exc}") from None
-        try:  # an utterance whose segments the engine cannot time
-            local = run_session(utt, config, policy_from_spec(config.policy))
-        except SessionError as exc:
-            raise ProtocolError(f"bad HELLO utterance: {exc}") from None
+        local = run_session(utt, config, policy_from_spec(config.policy))
         chan.session_id = utt.id
         unanswered = deque()  # the index of each READ_REQ sent, until its SEGMENT is read
         for event in local.events:  # rows (t_us, wall_us, kind, *EVENT_FIELDS[kind])

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import select
 import socket
 import subprocess
 import sys
@@ -13,7 +14,6 @@ import pytest
 from conftest import MISSING, bad_fields, with_field
 from simulstream.cli import main
 from simulstream.corpus import read_corpus
-from simulstream.latency import report_csv_header
 from simulstream.wire import ProtocolError, _Channel, _linger
 
 
@@ -65,6 +65,9 @@ def test_vmma_outputs_do_not_depend_on_the_hash_seed(tmp_path):
 
 
 _HUGE = "99999999999999999999"  # past int64, so numpy cannot draw it
+# what a time setting, a corpus's src_tok_ms and gen-corpus --segment-ms take:
+# a nonzero count of whole us, and one that a float holds
+_TIME = "a finite number of ms over 0.0005 and at most 1.7976931348623156e+305"
 
 
 @pytest.mark.parametrize(
@@ -74,8 +77,14 @@ _HUGE = "99999999999999999999"  # past int64, so numpy cannot draw it
         (["--seed", "-1"], "seed must be >= 0"),
         (["--vocab-size", _HUGE], "vocab_size must be <= 9223372036854775807"),
         (["--max-len", _HUGE], "lengths must be <= 9223372036854775807"),
+        # segments a session could not count in whole us: rounding to 0, or past a float
+        (["--segment-ms", "0.0001"], f"segment_ms 0.0001 is not {_TIME}"),
+        (["--segment-ms", "1e308"], f"segment_ms 1e+308 is not {_TIME}"),
     ],
-    ids=["min-above-max", "negative-seed", "huge-vocab-size", "huge-max-len"],
+    ids=[
+        "min-above-max", "negative-seed", "huge-vocab-size", "huge-max-len",
+        "segment-rounds-to-0", "segment-too-large",
+    ],
 )
 def test_gen_corpus_rejects_bad_lengths(tmp_path, capsys, flags, message):
     with pytest.raises(SystemExit) as exc:
@@ -172,6 +181,19 @@ def test_eval_reproduces_simulate_rows(tmp_path):
         == 0
     )
     assert rescored.read_text().splitlines() == eval_rows
+
+
+def test_eval_refuses_a_session_missing_from_the_corpus(tmp_path, capsys):
+    results, out = tmp_path / "results.jsonl", tmp_path / "eval.csv"
+    corpus = _gen(tmp_path, n=2)
+    assert main(["simulate", "--corpus", str(corpus), "--out-results", str(results)]) == 0
+    other = _gen(tmp_path, "other.jsonl", n=2, seed=4)  # ids utt-4-*, not the results' utt-3-*
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--results", str(results), "--corpus", str(other), "--out", str(out)])
+    assert exc.value.code == 2
+    assert _one_error_line(capsys) == "error: utterance utt-3-00000 missing from corpus\n"
+    assert not out.exists()
 
 
 def test_eval_rejects_bad_results(tmp_path, capsys):
@@ -484,6 +506,27 @@ def test_serve_ends_on_sigterm_with_its_failed_lines(tmp_path):
     assert "Traceback" not in err
 
 
+def test_serve_flushes_its_address_line(tmp_path):
+    # with stdout piped and buffered (no -u, no PYTHONUNBUFFERED), a supervisor
+    # using --port 0 learns the port from this line only if it is flushed at once
+    corpus = _gen(tmp_path, n=2)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "simulstream.cli", "serve", "--corpus", str(corpus),
+            "--port", "0"]
+    proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+    try:
+        ready, _, _ = select.select([proc.stdout], [], [], 10)
+        assert ready, "no line within 10 s"
+        line = proc.stdout.readline().decode()
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+    assert line.startswith("serving 2 utterances on 127.0.0.1:") and line.endswith("\n")
+
+
 def _exit_codes(argv) -> list:
     """The exit codes main(argv) raised, run in a thread with a bounded join:
     a serve --once that wrongly started would wait for a client forever."""
@@ -521,21 +564,30 @@ _NOT_FINITE = "is not a finite number"
         (["--pre-decision-ms", "inf"], None, _NOT_FINITE),
         ([], '{"unit_ms": NaN}', _NOT_FINITE),
         # a nonzero time the engine's whole microseconds would drop
-        (["--unit-ms", "0.0001", "--pre-decision-ms", "100"], None, "unit_ms 0.0001 rounds to 0"),
-        (["--pre-decision-ms", "0.0004"], None, "pre_decision_ms 0.0004 rounds to 0 us at $"),
-        ([], '{"compute": {"per_decision_ms": 0.0001}}', "per_decision_ms 0.0001 rounds to 0 us"),
-        (["--per-unit-ms", "0.0004"], None, "per_unit_ms 0.0004 rounds to 0 us at $['compute']"),
+        (["--unit-ms", "0.0001", "--pre-decision-ms", "100"], None,
+         f"error: bad option: unit_ms 0.0001 is not {_TIME} at $\n"),
+        (["--pre-decision-ms", "0.0004"], None,
+         f"error: bad option: pre_decision_ms 0.0004 is not {_TIME} or null at $\n"),
+        ([], '{"compute": {"per_decision_ms": 0.0001}}',
+         f"per_decision_ms 0.0001 is not {_TIME}, or 0 at $['compute']\n"),
+        (["--per-unit-ms", "0.0004"], None,
+         f"error: bad option: per_unit_ms 0.0004 is not {_TIME}, or 0 at $['compute']\n"),
         # a finite time whose count of us a float cannot hold
-        (["--unit-ms", "1e308"], None, "unit_ms 1e+308 is too large to count in us at $"),
-        (["--pre-decision-ms", "1.7976931348623157e308"], None, "e+308 is too large to count"),
-        ([], '{"compute": {"per_unit_ms": 1e306}}', "per_unit_ms 1e+306 is too large to count"),
-        (["--per-decision-ms", "2e305"], None, "per_decision_ms 2e+305 is too large to count"),
+        (["--unit-ms", "1e308"], None, f"error: bad option: unit_ms 1e+308 is not {_TIME} at $\n"),
+        (["--pre-decision-ms", "1.7976931348623157e308"], None,
+         f"bad option: pre_decision_ms 1.7976931348623157e+308 is not {_TIME} or null at $\n"),
+        ([], '{"compute": {"per_unit_ms": 1e306}}',
+         f"per_unit_ms 1e+306 is not {_TIME}, or 0 at $['compute']\n"),
+        (["--per-decision-ms", "2e305"], None,
+         f"error: bad option: per_decision_ms 2e+305 is not {_TIME}, or 0 at $['compute']\n"),
+        # an integer within float range whose count of us a float cannot hold
+        ([], '{"unit_ms": 1%s}' % ("0" * 306), f"unit_ms 1{'0' * 306} is not {_TIME} at $\n"),
     ],
     ids=[
         "lam", "unit-ms", "per-decision-ms", "per-unit-ms", "pre-decision-ms", "file",
         "unit-ms-0us", "pre-decision-ms-0us", "per-decision-ms-0us-file", "per-unit-ms-0us",
         "unit-ms-too-large", "pre-decision-ms-too-large", "per-unit-ms-too-large-file",
-        "per-decision-ms-too-large",
+        "per-decision-ms-too-large", "unit-ms-huge-int-file",
     ],
 )
 def test_non_finite_config_is_rejected(tmp_path, capsys, flags, config, message):
@@ -557,8 +609,8 @@ def test_out_of_range_scorer_value_is_rejected_at_load(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--scorer-value", "5"])
     assert exc.value.code == 2
-    err = _one_error_line(capsys)
-    assert "bad option: scorer_value must be strictly inside (0, 1) at $['policy']" in err
+    want = "scorer_value 5.0 is not a number strictly inside (0, 1) at $['policy']"
+    assert _one_error_line(capsys) == f"error: bad option: {want}\n"
 
 
 @pytest.mark.parametrize(
@@ -631,11 +683,17 @@ _NOT_EMPTY = "line 3: source and target must be non-empty"
         (dict(_GOOD_UTT, id=7), "line 3: id 7 is not a string"),
         ({k: v for k, v in _GOOD_UTT.items() if k != "target"}, "line 3: missing field 'target'"),
         (dict(_GOOD_UTT, bogus=1), "line 3: unknown field 'bogus'"),
+        # segments a session could not count in whole us
+        (dict(_GOOD_UTT, src_tok_ms=0.0001), f"line 3: src_tok_ms 0.0001 is not {_TIME}\n"),
+        (dict(_GOOD_UTT, src_tok_ms=1e308), f"line 3: src_tok_ms 1e+308 is not {_TIME}\n"),
+        # eval --corpus would score line 1's session against line 3's reference
+        (dict(_GOOD_UTT), "line 3: duplicate id 'u'\n"),
     ],
     ids=[
         "source-int", "array", "source-str", "duration-null", "no-source", "no-target",
         "duration-nan", "source-float-bool", "alignment-float-str", "duration-str", "id-int",
-        "no-target-field", "unknown-field",
+        "no-target-field", "unknown-field", "duration-rounds-to-0", "duration-too-large",
+        "duplicate-id",
     ],
 )
 def test_malformed_corpus_line_is_one_error(tmp_path, capsys, command, bad, message):
@@ -724,7 +782,7 @@ def test_connect_errors_are_one_line(tmp_path, capsys):
     compute_kind = {"compute": {"kind": "fixed_cost"}}
     too_large = dict(bad_hello, config={"unit_ms": 1e308})
     float_token = dict(bad_hello, utterance=dict(utterance, source=[1.5, *utterance["source"][1:]]))
-    # segments the engine cannot time: the client runs its session before its first READ_REQ
+    # segments the engine could not count in whole us
     untimable = lambda ms: dict(bad_hello, utterance=dict(utterance, src_tok_ms=ms), config={})
     segment = lambda r: {"index": r, "payload": 0, "arrival_ms": 0.0}
     metrics = {
@@ -745,7 +803,7 @@ def test_connect_errors_are_one_line(tmp_path, capsys):
         ),
         "hello-too-large-ms": (
             _fake_server(lambda chan: chan.send("HELLO", too_large)),
-            "bad HELLO config: unit_ms 1e+308 is too large to count in us at $",
+            f"bad HELLO config: unit_ms 1e+308 is not {_TIME} at $\n",
         ),
         "hello-compute-kind": (
             _fake_server(lambda chan: chan.send("HELLO", dict(bad_hello, config=compute_kind))),
@@ -778,11 +836,11 @@ def test_connect_errors_are_one_line(tmp_path, capsys):
         ),
         "hello-segment-rounds-to-0": (
             _fake_server(lambda chan: chan.send("HELLO", untimable(0.0001))),
-            "bad HELLO utterance: source segment of 0.0001 ms rounds to 0 us",
+            f"bad HELLO utterance: src_tok_ms 0.0001 is not {_TIME}\n",
         ),
         "hello-segment-too-large": (
             _fake_server(lambda chan: chan.send("HELLO", untimable(1e308))),
-            "bad HELLO utterance: source segment of 1e+308 ms is too large to count in us",
+            f"bad HELLO utterance: src_tok_ms 1e+308 is not {_TIME}\n",
         ),
         "metrics-missing-key": (
             _fake_server(_fake_session(utterance, segment, no_discont)),
@@ -872,35 +930,6 @@ def test_connect_counts_any_metric_gap(tmp_path, capsys):
         assert main(["connect", "--port", str(port)]) == mismatches
         assert f"completed 1 sessions; {mismatches} metric mismatches" in capsys.readouterr().out
 
-
-def _each_session_fails(tmp_path, capsys, segment_ms, reason):
-    """simulate and sweep over a corpus of segment_ms segments fail each
-    session with reason, one line apiece, and write no result."""
-    corpus = _gen(tmp_path, n=3, segment_ms=segment_ms)
-    flags = ["--corpus", str(corpus)]
-    results, csv, swept = tmp_path / "r.jsonl", tmp_path / "r.csv", tmp_path / "s.csv"
-    simulate = ["simulate", *flags, "--out-results", str(results), "--out-csv", str(csv)]
-    sweep = ["sweep", *flags, "--family", "waitk", "--grid", "1,2", "--out", str(swept)]
-    for argv, failed in ((simulate, 3), (sweep, 6)):
-        assert main(argv) == 1
-        lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == failed  # one per session, and no traceback
-        for line in lines:
-            assert line.startswith("failed: ")
-            assert line.endswith(reason)
-    assert results.read_text() == ""
-    assert csv.read_text().splitlines() == [report_csv_header()]
-
-
-def test_segment_that_rounds_to_zero_fails_each_session(tmp_path, capsys):
-    # the utterances' own segment duration: the config rejects a --pre-decision-ms this short
-    _each_session_fails(tmp_path, capsys, 0.0001, ": source segment of 0.0001 ms rounds to 0 us")
-
-
-def test_segment_too_large_to_count_in_us_fails_each_session(tmp_path, capsys):
-    # as above, at the other end: 1e308 ms is finite, but not as a float count of us
-    reason = ": source segment of 1e+308 ms is too large to count in us"
-    _each_session_fails(tmp_path, capsys, 1e308, reason)
 
 
 def test_sweep_exits_1_when_a_grid_point_fails(tmp_path, capsys, monkeypatch):

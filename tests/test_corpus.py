@@ -95,6 +95,22 @@ def test_alignment_kinds():
         assert all(1 <= a <= u.source_len for a in u.oracle_alignment)
 
 
+@pytest.mark.parametrize("kind, shift_c", [("identity", 0), ("shift", 2)])
+def test_noise_pushes_identity_and_shift_alignments_right(kind, shift_c):
+    spec = SyntheticTaskSpec(50, (4, 12), kind, shift_c=shift_c, noise_rate=0.5)
+    corpus = generate_corpus(spec, 20, seed=7)
+    assert [u.to_json() for u in corpus] == [u.to_json() for u in generate_corpus(spec, 20, 7)]
+    pushed = 0
+    for u in corpus:
+        M, align = u.source_len, u.oracle_alignment
+        noiseless = [min(i + shift_c, M) for i in range(1, u.target_len + 1)]
+        assert all(b >= a for a, b in zip(align, align[1:]))
+        assert all(1 <= a <= M for a in align)
+        assert all(a >= base for a, base in zip(align, noiseless))
+        pushed += list(align) != noiseless
+    assert pushed > 0
+
+
 def test_target_reveals_aligned_source():
     for u in generate_corpus(SyntheticTaskSpec(50, (5, 10), "shift", shift_c=3), 5, seed=2):
         for i, a in enumerate(u.oracle_alignment):

@@ -38,6 +38,9 @@ def test_rank_one_everywhere_gives_first_probe():
 def test_unhelpful_oracle_falls_back_to_full_source():
     table = extract_offline_policy(_FullSourceOnly(6), [2, 4, 6], r=3, tgt_len=3)
     assert table.prefix_lengths == (6, 6, 6)
+    # no probe qualifies, not even the last: each token takes the last probe
+    table = extract_offline_policy(_ConstantRank(10), [2, 4, 6], r=3, tgt_len=3)
+    assert table.prefix_lengths == (6, 6, 6)
 
 
 def test_synthetic_oracle_rank_monotone_in_prefix():

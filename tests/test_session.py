@@ -339,6 +339,20 @@ def test_vmma_policy_deterministic_per_utterance():
     assert res.target_len == 6
 
 
+def test_vmma_constant_scorer_plans_without_the_oracle():
+    from simulstream import vmma
+
+    spec = PolicySpec("vmma", lam=0.3, scorer="constant", scorer_value=0.8, seed=5)
+    pol = policy_from_spec(spec)
+    diagonal, late = _utt(m=6, n=5), _utt(m=6, n=5, align=[6] * 5)  # same id and lengths
+    plan = pol.plan(diagonal)
+    assert pol.plan(late) == plan  # the oracle alignment is never read
+    seed = stable_utterance_seed(5, diagonal.id)
+    trace = vmma.sample_change_trace(vmma.ConstantScorer(0.8), 0.3, 6, 5, seed)
+    assert plan == vmma.change_to_actions(trace)
+    assert run_session(late, _cfg(policy=spec), pol).target_len == 5
+
+
 def test_policy_from_spec_kinds():
     assert isinstance(policy_from_spec(PolicySpec("waitk", k=3)), WaitKPolicy)
     for m, n in [(1, 1), (1, 6), (6, 1), (5, 9), (17, 4), (40, 40)]:

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import re
@@ -191,6 +192,30 @@ def test_sent_bodies_have_the_fields_of_the_message_table():
         assert list(m["body"]) == list(wire.MESSAGES[m["type"]]), m["type"]
     # the one exception: a server out of work sends HELLO with done alone
     assert [json.loads(line)["body"] for line in done_received.splitlines()] == [{"done": True}]
+
+
+class _FullFdTable:
+    """A listener whose accept() fails as in a process at its file-descriptor limit."""
+
+    def __init__(self, real):
+        self.real, self.calls = real, 0
+
+    def accept(self):
+        self.calls += 1
+        raise OSError(errno.EMFILE, "Too many open files")
+
+    def close(self):
+        self.real.close()
+
+
+def test_accept_error_does_not_spin():
+    srv = wire.EvalServer("127.0.0.1", 0, _corpus(1), _config())
+    srv._listener = listener = _FullFdTable(srv._listener)
+    srv.start()
+    time.sleep(0.3)
+    srv.shutdown()
+    # a retry every ACCEPT_RETRY_S; a loop without a pause makes thousands
+    assert 1 <= listener.calls < 100
 
 
 def test_server_reports_done_when_drained(server):
