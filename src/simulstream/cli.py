@@ -215,7 +215,7 @@ def cmd_eval(args) -> int:
     reference = {}
     if args.corpus:
         reference = {u.id: u for u in _read_corpus_or_die(args.corpus)}
-    rows = []
+    rows, ids = [], set()
     try:
         with open(args.results, "r", encoding="utf-8") as f:
             for lineno, line in enumerate(f, 1):
@@ -226,10 +226,11 @@ def cmd_eval(args) -> int:
                 try:
                     fresh = recompute_result_from_events(SessionResult.from_json(line))
                     report = fresh.report()
-                except KeyError as exc:
-                    raise CliError(f"{where}: missing field {exc}")
                 except (TypeError, ValueError, SessionError) as exc:
                     raise CliError(f"{where}: {exc}")
+                if fresh.utterance_id in ids:  # as read_corpus refuses a repeated id
+                    raise CliError(f"{where}: duplicate id {fresh.utterance_id!r}")
+                ids.add(fresh.utterance_id)
                 quality = fresh.quality
                 if reference:
                     utt = reference.get(fresh.utterance_id)

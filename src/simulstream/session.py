@@ -14,8 +14,8 @@ stub is called once every emission_rate_l buffered units (plus a final
 flush) and emits an audio span on the playback timeline. A token's
 delay is the clock reading of the call that produced its last unit.
 
-The event log is the record a session's per-token fields are derived
-from (see fold_events). Each event is a row, a tuple (t_us, wall_us,
+The event log is the record each derived field of a result comes from,
+in one walk (fold_events). Each event is a row, a tuple (t_us, wall_us,
 kind, *fields): t_us is the ideal clock, wall_us the computation-aware
 clock, and the fields are those EVENT_FIELDS names for the kind:
 
@@ -28,7 +28,7 @@ clock, and the fields are those EVENT_FIELDS names for the kind:
 
 A results line stores the log (each event an object with sorted keys),
 the hypothesis and a header: id, lengths, duration and quality. from_json
-folds the per-token fields from the log and checks the header against it.
+builds a result as Session.end does and checks the header against it.
 
 Segment arrivals and the end of the session are not logged: segment i
 arrives at i * source_duration_us / src_len, and the result stores both.
@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import sys
 import zlib
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
@@ -292,17 +293,22 @@ def _events_to_json(events: Sequence[tuple]) -> str:
 def _events_from_json(stored: list) -> tuple[tuple, ...]:
     """Rows for a stored event list. An event must be an object of one
     EVENT_FIELDS kind with exactly that kind's keys and integer values;
-    a missing key raises KeyError, anything else SessionError."""
+    any other raises SessionError."""
     for n, d in enumerate(stored, 1):  # every kind is known before any field is read
         if type(d) is not dict:
             raise SessionError(f"event {n} is not an object: {d!r}")
-        kind = d["kind"]
+        kind = d.get("kind")
         if type(kind) is not str or kind not in _READERS:
+            if "kind" not in d:
+                raise SessionError(f"event {n}: missing field 'kind'")
             raise SessionError(f"unknown event kind {kind!r}")
     rows = []
     for n, d in enumerate(stored, 1):
         kind = d["kind"]
-        row = _READERS[kind](d)
+        try:
+            row = _READERS[kind](d)
+        except KeyError as exc:
+            raise SessionError(f"event {n} ({kind}): missing field {exc.args[0]!r}") from None
         if len(row) != len(d):
             extra = sorted(set(d) - set(_ROW_KEYS[kind]))
             raise SessionError(f"event {n} ({kind}) has unknown field {extra[0]!r}")
@@ -335,16 +341,18 @@ def _us(ms: float) -> int:
 @dataclass(frozen=True)
 class SessionResult:
     utterance_id: str
+    events: tuple[tuple, ...]  # rows (t_us, wall_us, kind, *EVENT_FIELDS[kind])
+    hypothesis: tuple[int, ...]
+    quality: float
+    # the fields fold_events derives from the event log
     source_len: int
     target_len: int
     source_duration_us: int
-    events: tuple[tuple, ...]  # rows (t_us, wall_us, kind, *EVENT_FIELDS[kind])
-    hypothesis: tuple[int, ...]
     consumption: tuple[int, ...]  # g(i): segments read before token i
     ideal_delays_us: tuple[int, ...]
     ca_delays_us: tuple[int, ...]
     full_source_index: Optional[int]
-    quality: float
+    discontinuity: tuple[float, int, float]  # see discontinuity_report
 
     def _profile(self, delays_us: tuple[int, ...]) -> DelayProfile:
         return DelayProfile(
@@ -354,13 +362,12 @@ class SessionResult:
         )
 
     def report(self) -> LatencyReport:
-        total_gap, _, _ = discontinuity_report(self.events)
         ideal, ca = self._profile(self.ideal_delays_us), self._profile(self.ca_delays_us)
-        return build_report(ideal, ca, total_gap, self.target_len)
+        return build_report(ideal, ca, self.discontinuity[0], self.target_len)
 
     def to_json(self) -> str:
         """One JSON object with sorted keys: the header, the hypothesis and
-        the event log, from which from_json derives the per-token fields."""
+        the event log, from which from_json derives the other fields."""
         rest = {
             "hypothesis": list(self.hypothesis),
             "id": self.utterance_id,
@@ -374,25 +381,20 @@ class SessionResult:
 
     @classmethod
     def from_json(cls, text: str) -> "SessionResult":
-        """A to_json line read back, its per-token fields folded from its
+        """A to_json line read back, its derived fields folded from its
         events. A missing, mistyped or unknown field raises ValueError naming
-        it (for the events, see _events_from_json); a header that disagrees
-        with the log, SessionError."""
+        it (for the events, SessionError; see _events_from_json); a header
+        that disagrees with the fold, SessionError."""
         events, utt_id, src_len, tgt_len, duration_us, hypothesis, quality = checked_fields(
             json.loads(text), _STORED_RULES, "results line"
         )
         events = _events_from_json(events)
-        result = cls(
-            utt_id, src_len, tgt_len, duration_us, events, tuple(hypothesis),
-            quality=quality, **fold_events(events),
-        )
-        reads = [e[0] for e in events if e[2] == "read"]  # read r's t_us is r segments
-        writes = len(result.consumption)
+        result = cls(utt_id, events, tuple(hypothesis), quality, **fold_events(events))
         for name, stored, logged in (
-            ("src_len", result.source_len, len(reads)),
-            ("source_duration_us", result.source_duration_us, reads[-1] if reads else 0),
-            ("tgt_len", result.target_len, writes),
-            ("hypothesis length", len(result.hypothesis), writes),
+            ("src_len", src_len, result.source_len),
+            ("source_duration_us", duration_us, result.source_duration_us),
+            ("tgt_len", tgt_len, result.target_len),
+            ("hypothesis length", len(result.hypothesis), result.target_len),
         ):
             if stored != logged:
                 raise SessionError(f"{name} {stored} disagrees with the event log's {logged}")
@@ -473,13 +475,9 @@ class Session(ReadWritePath):
     def end(self) -> SessionResult:
         """The session's result, once every segment is read and every token written."""
         ReadWritePath.end(self)
-        utt, hypothesis, M = self.utterance, self.hypothesis, self.M
-        return SessionResult(
-            utterance_id=utt.id, source_len=M, target_len=self.N,
-            source_duration_us=M * self.seg_us, events=tuple(self.events),
-            hypothesis=tuple(hypothesis), quality=quality_score(hypothesis, utt.target_tokens),
-            **fold_events(self.events),
-        )
+        utt, hypothesis, events = self.utterance, self.hypothesis, tuple(self.events)
+        quality = quality_score(hypothesis, utt.target_tokens)
+        return SessionResult(utt.id, events, tuple(hypothesis), quality, **fold_events(events))
 
 
 def run_session(utterance: Utterance, config: SessionConfig, policy: Policy) -> SessionResult:
@@ -494,24 +492,29 @@ def run_session(utterance: Utterance, config: SessionConfig, policy: Policy) -> 
 
 
 def fold_events(events: Sequence[tuple]) -> dict:
-    """Per-token fields of a SessionResult, derived from its event log.
+    """Every SessionResult field its event log determines, in one walk, as
+    keyword arguments for SessionResult after its four stored fields.
 
-    Token i is produced by the first vocoder_call whose running unit
-    count reaches token i's last unit; its delays are that call's clock
-    readings. full_source_index is the first token produced after the
-    last read. Returns consumption, ideal_delays_us, ca_delays_us and
-    full_source_index as keyword arguments for SessionResult.
+    The lengths count reads and writes, and read r arrives after r segments.
+    Token i is produced by the first vocoder_call whose running unit count
+    reaches token i's last unit; its delays are that call's clock readings.
+    full_source_index is the first token produced after the last read. A
+    token left unsynthesized raises SessionError.
     """
     consumption: list[int] = []
     token_ends: list[int] = []  # running unit count at each token's last unit
-    ideal: list[int] = []
-    ca: list[int] = []
-    written = voiced = 0
+    ideal, ca = [], []  # each token's delay on the ideal and the computation-aware clock
+    reads = duration_us = written = voiced = 0  # duration_us: the last read's t_us
     tokens = done = 0  # tokens written; tokens synthesized, so done is the next one's index
     full_source_index = None
+    gaps: list[int] = []  # us from one vocoder_call's playback end to the next's start
+    prev_end = math.inf  # end_us of the last vocoder_call: no gap before the first
     for e in events:  # rows: (t_us, wall_us, kind, *EVENT_FIELDS[kind])
         kind = e[2]
         if kind == "vocoder_call":  # n_units, start_us, end_us; the commonest kind
+            if e[4] > prev_end:
+                gaps.append(e[4] - prev_end)
+            prev_end = e[5]
             voiced += e[3]
             while done < tokens and token_ends[done] <= voiced:
                 done += 1
@@ -525,35 +528,26 @@ def fold_events(events: Sequence[tuple]) -> dict:
             token_ends.append(written)
             tokens += 1
         else:  # read
+            reads += 1
+            duration_us = e[0]
             full_source_index = None
     if done < tokens:
         raise SessionError(f"event log leaves {tokens - done} tokens unsynthesized")
     return {
-        "consumption": tuple(consumption),
-        "ideal_delays_us": tuple(ideal),
-        "ca_delays_us": tuple(ca),
-        "full_source_index": full_source_index,
+        "source_len": reads, "target_len": tokens, "source_duration_us": duration_us,
+        "consumption": tuple(consumption), "ideal_delays_us": tuple(ideal),
+        "ca_delays_us": tuple(ca), "full_source_index": full_source_index,
+        "discontinuity": (sum(gaps) / 1000, len(gaps), max(gaps, default=0) / 1000),
     }
 
 
 def discontinuity_report(events: Sequence[tuple]) -> tuple[float, int, float]:
-    """(total_gap_ms, gap_count, max_gap_ms) between emitted audio spans."""
-    total = count = biggest = 0
-    prev_end = None  # end_us of the last vocoder_call so far
-    for e in events:
-        if e[2] == "vocoder_call":  # n_units, start_us, end_us
-            if prev_end is not None and e[4] > prev_end:
-                gap = e[4] - prev_end
-                total += gap
-                count += 1
-                if gap > biggest:
-                    biggest = gap
-            prev_end = e[5]
-    return total / 1000, count, biggest / 1000
+    """(total_ms, count, max_ms) of gaps between audio spans, by fold_events: a complete log's."""
+    return fold_events(events)["discontinuity"]
 
 
 def recompute_result_from_events(result: SessionResult) -> SessionResult:
-    """result with its per-token fields folded afresh from its event log,
+    """result with the fields its event log determines folded afresh,
     so equal to a result that from_json read. eval calls it by this name,
     which the benchmark's tracer times and its tests perturb."""
     return replace(result, **fold_events(result.events))

@@ -1,8 +1,8 @@
 """Newline-delimited JSON wire protocol for networked evaluation.
 
-One session per connection, on the thread that accepted it: one that
-accepts while no other waits starts another first. The server owns the
-corpus and the session config; the client is the deciding agent. Flow:
+One session per connection, on the thread that accepted it, which first
+starts another if none waits (and, if it cannot, serves all the same).
+The server owns the corpus and config; the client decides. Flow:
 
     server -> HELLO
     client -> READ_REQ  (one per read in its log)
@@ -94,7 +94,7 @@ ENVELOPE = {
     "seq_no": INT,
     "body": None,
 }
-READ_TIMEOUT_S = 30.0  # server side: longest wait for a client's next message
+READ_TIMEOUT_S = 30.0  # either end's longest wait for the peer's next message
 READ_WINDOW = 32  # client side: most READ_REQs sent whose SEGMENT is not read yet
 MAX_FRAME_BYTES = 1 << 20  # longest accepted line, newline excluded
 LINGER_S = 2.0  # after ERROR: longest wait for the client to stop sending
@@ -209,14 +209,15 @@ class EvalServer:
         self._closed = False
 
     def start(self):
-        self._spawn()
+        with self._lock:
+            self._spawn()
         return self
 
-    def _spawn(self) -> None:  # under self._lock, or from start()
+    def _spawn(self) -> None:  # under self._lock; a thread that fails to start is not waiting
         name = f"EvalServer:{self.address[1]}"
         thread = threading.Thread(target=self._accept_loop, name=name, daemon=True)
-        self._waiting.add(thread)
         thread.start()
+        self._waiting.add(thread)
 
     def _accept_loop(self) -> None:
         while not self._closed:
@@ -229,7 +230,10 @@ class EvalServer:
             with self._lock:
                 self._waiting.discard(threading.current_thread())
                 if not (self._closed or self._waiting):
-                    self._spawn()
+                    try:
+                        self._spawn()
+                    except RuntimeError:  # no thread to spare: this one serves, then accepts
+                        pass
             with conn:
                 if not self._closed:  # else a wake-up from shutdown, or a client too late
                     self._handle(conn)
@@ -373,7 +377,7 @@ def _read_segment(chan: _Channel, index: int) -> None:
 
 def run_client_session(host: str, port: int) -> Optional[SessionExchange]:
     """Run one networked session; None when the server is out of work."""
-    with socket.create_connection((host, port)) as sock, _Channel(sock) as chan:
+    with socket.create_connection((host, port), READ_TIMEOUT_S) as sock, _Channel(sock) as chan:
         hello = chan.recv("HELLO")[1]
         if hello["done"]:
             return None

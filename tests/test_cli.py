@@ -14,6 +14,7 @@ import pytest
 from conftest import MISSING, bad_fields, with_field
 from simulstream.cli import main
 from simulstream.corpus import read_corpus
+from simulstream import wire
 from simulstream.wire import ProtocolError, _Channel, _linger
 
 
@@ -229,13 +230,20 @@ def test_eval_rejects_bad_results(tmp_path, capsys):
     short_hypothesis = dict(record, hypothesis=record["hypothesis"][:-1])
     # a header that agrees with the log, whose tokens no vocoder_call synthesizes
     unvoiced = dict(record, events=[e for e in record["events"] if e["kind"] != "vocoder_call"])
+    # and one whose last token lacks only its final vocoder_call
+    events = list(record["events"])
+    del events[max(n for n, e in enumerate(events) if e["kind"] == "vocoder_call")]
+    half_voiced = dict(record, events=events)
     cases = {
         "nope.jsonl": (None, "cannot read results"),
         "garbled.jsonl": ("{not json", "line 2"),
         "missing.jsonl": (json.dumps(missing), "line 2: missing field 'src_len'"),
         "old.jsonl": (json.dumps(old_format), "line 2: unknown event kind 'write_unit'"),
         "old-batch.jsonl": (json.dumps(old_batch), "line 2: unknown event kind 'emit_audio'"),
-        "no-span.jsonl": (json.dumps(no_span), "line 2: missing field 'start_us'"),
+        "no-span.jsonl": (
+            json.dumps(no_span),
+            "line 2: event 1 (vocoder_call): missing field 'start_us'",
+        ),
         "extra.jsonl": (json.dumps(extra_field), "line 2: event 1 (read) has unknown field 'bogus'"),
         "float.jsonl": (json.dumps(float_time), "line 2: event 1 (read): t_us 1.5 is not an integer"),
         "not-object.jsonl": (json.dumps(not_object), "line 2: event 1 is not an object"),
@@ -266,6 +274,12 @@ def test_eval_rejects_bad_results(tmp_path, capsys):
             json.dumps(unvoiced),
             f"line 2: event log leaves {tgt_len} tokens unsynthesized",
         ),
+        "half-voiced.jsonl": (
+            json.dumps(half_voiced),
+            "line 2: event log leaves 1 tokens unsynthesized",
+        ),
+        # one session twice, as read_corpus refuses one utterance twice
+        "duplicate.jsonl": (good, f"line 2: duplicate id {record['id']!r}"),
         "array.jsonl": (json.dumps([record]), "line 2: results line is not an object"),
         "int-events.jsonl": (json.dumps(dict(record, events=5)), "line 2: events 5 is not a list"),
         "str-events.jsonl": (
@@ -552,6 +566,7 @@ def _one_error_line(capsys) -> str:
 
 
 _NOT_FINITE = "is not a finite number"
+_SHARE = "a number strictly inside (0, 1) at $['policy']\n"
 
 
 @pytest.mark.parametrize(
@@ -582,12 +597,18 @@ _NOT_FINITE = "is not a finite number"
          f"error: bad option: per_decision_ms 2e+305 is not {_TIME}, or 0 at $['compute']\n"),
         # an integer within float range whose count of us a float cannot hold
         ([], '{"unit_ms": 1%s}' % ("0" * 306), f"unit_ms 1{'0' * 306} is not {_TIME} at $\n"),
+        # exactly half a us, which round() takes to 0
+        (["--unit-ms", "0.0005"], None, f"error: bad option: unit_ms 0.0005 is not {_TIME} at $\n"),
+        # a share's open interval excludes both ends
+        (["--scorer-value", "0"], None, f"error: bad option: scorer_value 0.0 is not {_SHARE}"),
+        (["--scorer-value", "1"], None, f"error: bad option: scorer_value 1.0 is not {_SHARE}"),
     ],
     ids=[
         "lam", "unit-ms", "per-decision-ms", "per-unit-ms", "pre-decision-ms", "file",
         "unit-ms-0us", "pre-decision-ms-0us", "per-decision-ms-0us-file", "per-unit-ms-0us",
         "unit-ms-too-large", "pre-decision-ms-too-large", "per-unit-ms-too-large-file",
-        "per-decision-ms-too-large", "unit-ms-huge-int-file",
+        "per-decision-ms-too-large", "unit-ms-huge-int-file", "unit-ms-half-us",
+        "scorer-value-0", "scorer-value-1",
     ],
 )
 def test_non_finite_config_is_rejected(tmp_path, capsys, flags, config, message):
@@ -888,6 +909,24 @@ def test_connect_errors_are_one_line(tmp_path, capsys):
             assert exc.value.code == 2, name
             err = _one_error_line(capsys)
             assert f"127.0.0.1:{port}" in err and message in err, name
+
+
+def test_connect_to_a_silent_server_times_out(monkeypatch, capsys):
+    # its backlog completes the handshake, and nothing is ever written
+    monkeypatch.setattr(wire, "READ_TIMEOUT_S", 0.2)
+    with socket.create_server(("127.0.0.1", 0)) as silent:
+        port = silent.getsockname()[1]
+        # a client that would wait for ever gets its connection reset instead
+        rescue = threading.Timer(10.0, silent.close)
+        rescue.start()
+        try:
+            with pytest.raises(SystemExit) as exc:
+                main(["connect", "--port", str(port)])
+        finally:
+            rescue.cancel()
+            rescue.join(10)
+    assert exc.value.code == 2
+    assert _one_error_line(capsys) == f"error: connect 127.0.0.1:{port}: timed out\n"
 
 
 @pytest.mark.parametrize("n", ["0", "-3"])

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from collections import Counter
 
 import pytest
@@ -16,6 +17,7 @@ from simulstream.corpus import (
     write_corpus,
 )
 from simulstream.corpus import _bleu_from_stats, _match_totals
+from simulstream.latency import TIME_MS
 
 
 def _reference_bleu(hyp, ref):
@@ -150,6 +152,9 @@ _GOOD_LINE = {
 }
 
 
+_MAX = sys.float_info.max
+
+
 @pytest.mark.parametrize(
     "change, message",
     [
@@ -164,6 +169,9 @@ _GOOD_LINE = {
         ({"src_tok_ms": True}, "src_tok_ms True is not a finite number"),
         ({"src_tok_ms": math.inf}, "src_tok_ms inf is not a finite number"),
         ({"src_tok_ms": None}, "src_tok_ms None is not a finite number"),
+        # the largest finite numbers: taken as numbers, refused as times
+        ({"src_tok_ms": _MAX}, f"src_tok_ms {_MAX!r} is not {TIME_MS[1]}"),
+        ({"src_tok_ms": -_MAX}, f"src_tok_ms {-_MAX!r} is not {TIME_MS[1]}"),
         ({"bogus": 1}, "unknown field 'bogus'"),
     ],
 )

@@ -94,6 +94,7 @@ def _dict_engine(utterance, config, trace):
         "ca_delays_us": tuple(ca),
         "full_source_index": full_source_index,
         "quality": quality_score(hypothesis, utterance.target_tokens),
+        "discontinuity": _dict_discontinuity(events),
     }
     return events, fields
 
@@ -223,14 +224,13 @@ def _stored_line(change):
         (lambda e: {**e, "wall_us": None}, "event 2 (write): wall_us None is not an integer"),
         (lambda e: list(e.values()), "event 2 is not an object"),
         (lambda e: {**e, "kind": ["write"]}, "unknown event kind ['write']"),
+        (
+            lambda e: {k: v for k, v in e.items() if k != "src_consumed"},
+            "event 2 (write): missing field 'src_consumed'",
+        ),
+        (lambda e: {k: v for k, v in e.items() if k != "kind"}, "event 2: missing field 'kind'"),
     ],
 )
 def test_from_json_rejects_malformed_events(change, message):
     with pytest.raises(SessionError, match=re.escape(message)):
         SessionResult.from_json(_stored_line(change))
-
-
-def test_from_json_missing_field_is_a_key_error():
-    line = _stored_line(lambda e: {k: v for k, v in e.items() if k != "src_consumed"})
-    with pytest.raises(KeyError, match="src_consumed"):
-        SessionResult.from_json(line)

@@ -93,6 +93,8 @@ def test_profile_validation():
         expected_delays(np.zeros((0, 0)), 1.0)
     with pytest.raises(MetricError):
         expected_delays(np.eye(2), -1.0)
+    with pytest.raises(MetricError, match="per_source_ms must be positive"):
+        expected_delays(np.eye(2), 0.0)
 
 
 @pytest.mark.parametrize(

@@ -271,6 +271,31 @@ def test_sequential_sessions_reuse_server_threads(monkeypatch):
     assert 2 <= len(started) <= 3, started
 
 
+def test_failed_thread_start_leaves_an_acceptor(monkeypatch):
+    # as at the process's thread limit: each server thread after the first
+    # fails to start, so the one that accepted serves and accepts again
+    start = threading.Thread.start
+
+    def start_one(thread):
+        if thread.name.startswith("EvalServer:"):
+            if started:
+                raise RuntimeError("can't start new thread")
+            started.append(thread)
+        start(thread)
+
+    started = []
+    monkeypatch.setattr(threading.Thread, "start", start_one)
+    monkeypatch.setattr(wire, "READ_TIMEOUT_S", 5.0)  # so a lost acceptor fails, not hangs
+    srv = serve("127.0.0.1", 0, _corpus(3), _config())
+    try:
+        exchanges = connect(*srv.address)
+        assert srv.drained.wait(5)
+    finally:
+        srv.shutdown()  # joins only threads that started
+    assert len(exchanges) == 3 and max(ex.max_field_gap() for ex in exchanges) == 0.0
+    assert srv.failures == [] and len(started) == 1
+
+
 def test_shutdown_after_concurrent_sessions_ends_every_thread(monkeypatch):
     # three sessions in flight at once: each client waits at a barrier after
     # HELLO until all three have theirs
