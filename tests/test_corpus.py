@@ -169,10 +169,10 @@ _MAX = sys.float_info.max
         ({"src_tok_ms": True}, "src_tok_ms True is not a finite number"),
         ({"src_tok_ms": math.inf}, "src_tok_ms inf is not a finite number"),
         ({"src_tok_ms": None}, "src_tok_ms None is not a finite number"),
+        ({"bogus": 1}, "unknown field 'bogus'"),
         # the largest finite numbers: taken as numbers, refused as times
         ({"src_tok_ms": _MAX}, f"src_tok_ms {_MAX!r} is not {TIME_MS[1]}"),
         ({"src_tok_ms": -_MAX}, f"src_tok_ms {-_MAX!r} is not {TIME_MS[1]}"),
-        ({"bogus": 1}, "unknown field 'bogus'"),
     ],
 )
 def test_utterance_from_json_takes_each_field_with_its_own_type(change, message):
